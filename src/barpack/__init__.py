@@ -76,7 +76,6 @@ from .report import (
 )
 from .unions import (
     Chart,
-    UnionEdge,
     UnionGraph,
     best_union,
     build_graph,

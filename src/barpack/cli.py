@@ -169,7 +169,7 @@ def _compare_worker(payload) -> list[ReportRow]:
     name, inst_json, algos, forced_spec, oracle, budget = payload
     try:
         inst = instance_from_json(inst_json)
-    except (BarpackError, ValueError, KeyError, TypeError) as exc:
+    except (BarpackError, ValueError) as exc:  # ValueError: not JSON at all
         return [ReportRow(name, 0, "-", None, None, None, None, None,
                           status=f"error: {exc}")]
     lb = lower_bound(inst)
@@ -207,6 +207,20 @@ def _compare_worker(payload) -> list[ReportRow]:
     return rows
 
 
+def _worker_count(requested: str | None, jobs: int, cpus: int | None) -> int:
+    """Worker processes for compare: BARPACK_THREADS (unset means 1),
+    clamped to the CPU count and to the number of jobs."""
+    if requested is None:
+        return 1
+    try:
+        count = int(requested)
+    except ValueError:
+        raise BarpackError(f"BARPACK_THREADS={requested!r} is not an integer") from None
+    if count < 1:
+        raise BarpackError(f"BARPACK_THREADS={count} must be at least 1")
+    return max(1, min(count, cpus or 1, jobs))
+
+
 def _cmd_compare(args) -> int:
     algos = tuple(a for a in args.algos.split(",") if a)
     for a in algos:
@@ -231,8 +245,9 @@ def _cmd_compare(args) -> int:
             payloads.append((name, instance_to_json(generate(spec)), algos,
                              args.force_first, args.oracle, args.budget))
 
-    threads = int(os.environ.get("BARPACK_THREADS", "1"))
-    if threads > 1 and len(payloads) > 1:
+    threads = _worker_count(os.environ.get("BARPACK_THREADS"), len(payloads),
+                            os.cpu_count())
+    if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             per_instance = list(pool.map(_compare_worker, payloads))
     else:

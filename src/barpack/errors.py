@@ -2,7 +2,15 @@
 
 
 class BarpackError(Exception):
-    """Base class for every error raised by barpack."""
+    """Base class for every error barpack raises on bad input or a bad
+    request. InvariantViolation is the one exception outside it."""
+
+
+class InvariantViolation(AssertionError):
+    """An internal invariant failed: a bug in barpack, not bad input.
+
+    Raised by explicit checks, so it also fires under python -O. It is not
+    a BarpackError, so handlers of input errors cannot swallow it."""
 
 
 class HeightOutOfRange(BarpackError):
@@ -15,6 +23,13 @@ class NonRepresentable(BarpackError):
 
 class EmptyInstance(BarpackError):
     """An instance must contain at least one chart."""
+
+
+class MalformedJson(BarpackError, ValueError):
+    """An instance or packing document does not have the expected shape.
+
+    Also a ValueError, like the JSON decoder's own errors, so a caller can
+    catch every unreadable document with one except clause."""
 
 
 class UnassignedChart(BarpackError):

@@ -604,4 +604,7 @@ def _maximum_weight_mates(num_vertices, edges):
                 expand_blossom(b, True)
 
     verify_optimum()
+    # the recursive helpers reach themselves through closure cells; unlink
+    # them so the solver state is freed now, not at some later GC pass
+    del assign_label, expand_blossom, augment_blossom
     return mate

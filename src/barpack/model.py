@@ -17,6 +17,7 @@ from .errors import (
     EmptyInstance,
     HeightOutOfRange,
     InfeasiblePacking,
+    MalformedJson,
     NonRepresentable,
     UnassignedChart,
 )
@@ -189,21 +190,42 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_object(text: str, what: str) -> dict:
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise MalformedJson(f"{what} JSON is nested too deeply") from None
+    if not isinstance(payload, dict):
+        raise MalformedJson(f"{what} JSON must be an object, "
+                            f"not {type(payload).__name__}")
+    return payload
+
+
 def instance_from_json(text: str) -> Instance:
-    payload = json.loads(text)
-    if payload.get("version") != 1:
-        raise ValueError(f"unsupported instance version {payload.get('version')!r}")
-    denominator = payload["denominator"]
-    if not isinstance(denominator, int) or denominator < 1:
-        raise ValueError("denominator must be a positive integer")
-    raw = payload["charts"]
+    payload = _json_object(text, "instance")
+    version = payload.get("version")
+    if not _is_int(version) or version != 1:
+        raise MalformedJson(f"unsupported instance version {version!r}")
+    denominator = payload.get("denominator")
+    if not _is_int(denominator) or denominator < 1:
+        raise MalformedJson("denominator must be a positive integer")
+    raw = payload.get("charts")
+    if not isinstance(raw, list):
+        raise MalformedJson("charts must be a list of [a, b] pairs")
     if not raw:
         raise EmptyInstance("instance needs at least one chart")
     charts = []
     for i, pair in enumerate(raw):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise MalformedJson(f"chart {i} is {pair!r}, not an [a, b] pair")
         a, b = pair
         for numer in (a, b):
-            if not isinstance(numer, int):
+            if not _is_int(numer):
                 raise NonRepresentable(f"chart {i} height {numer!r} is not an integer numerator")
             if not 1 <= numer <= denominator:
                 raise HeightOutOfRange(f"chart {i} numerator {numer} outside [1, {denominator}]")
@@ -216,8 +238,9 @@ def packing_to_json(packing: Packing) -> str:
 
 
 def packing_from_json(text: str) -> Packing:
-    payload = json.loads(text)
-    starts = payload["starts"]
-    if not all(isinstance(s, int) and s >= 1 for s in starts):
+    starts = _json_object(text, "packing").get("starts")
+    if not isinstance(starts, list):
+        raise MalformedJson("packing needs a list of start cells")
+    if not all(_is_int(s) and s >= 1 for s in starts):
         raise UnassignedChart("starts must all be integers >= 1")
     return Packing(tuple(starts))

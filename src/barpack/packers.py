@@ -12,13 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import NotAMatching, NotMaxWeight, ProvenanceGap
-from .matching import (
-    Graph,
-    matching_weight,
-    max_cardinality_matching,
-    max_weight_matching,
-)
+from .errors import InvariantViolation, NotAMatching, NotMaxWeight, ProvenanceGap
+from .matching import matching_weight, max_cardinality_matching, max_weight_matching
 from .model import Instance, Packing, compact, length
 from .unions import UnionGraph, build_graph, chart_from_bars, merge
 
@@ -73,44 +68,33 @@ def _finish(inst: Instance, charts, rounds) -> PackResult:
     realized = length(inst, packing)
     trace = RunTrace(inst.n, tuple(rounds), len(charts))
     # the layout is gap-free, so the realized length telescopes exactly
-    assert realized == 2 * inst.n - trace.total_savings()
+    if realized != 2 * inst.n - trace.total_savings():
+        raise InvariantViolation(f"realized length {realized} is not 2n - savings")
     return PackResult(packing, trace, realized)
 
 
-def _merge_round(charts, chosen_edges, denominator):
-    """Merge each matched pair; the merged chart replaces the smaller index."""
-    partner = {}
-    for e in chosen_edges:
-        partner[e.u] = e
-        partner[e.v] = e
-    new_charts = []
-    savings = 0
-    for i, ch in enumerate(charts):
-        e = partner.get(i)
-        if e is None:
-            new_charts.append(ch)
-            continue
-        if i != min(e.u, e.v):
-            continue
-        left, right = (charts[e.u], charts[e.v]) if e.u_first else (charts[e.v], charts[e.u])
-        new_charts.append(merge(left, right, e.t, denominator))
-        savings += e.t
-    return new_charts, savings
+def _merge_round(charts, graph: UnionGraph, chosen, denominator):
+    """Merge the pair of each chosen edge id; the merged chart takes the
+    place of u, the smaller index."""
+    merged, gone, savings = {}, set(), 0
+    for i in chosen:
+        u, v, _ = graph.edges[i]
+        u_first, t = graph.best[i]
+        left, right = (charts[u], charts[v]) if u_first else (charts[v], charts[u])
+        merged[u] = merge(left, right, t, denominator)
+        gone.add(v)
+        savings += t
+    return [merged.get(c, ch) for c, ch in enumerate(charts) if c not in gone], savings
 
 
-def _round_stats(graph: UnionGraph, chosen_edges, savings) -> RoundStats:
+def _round_stats(graph: UnionGraph, chosen, savings) -> RoundStats:
     return RoundStats(
-        cardinality=len(chosen_edges),
-        weight=sum(e.weight for e in chosen_edges),
+        cardinality=len(chosen),
+        weight=sum(graph.edges[i][2] for i in chosen),
         savings=savings,
         graph_edges=len(graph.edges),
-        max_union=max((e.t for e in graph.edges), default=0),
+        max_union=max((t for _, t in graph.best), default=0),
     )
-
-
-def _matching_graph(graph: UnionGraph) -> Graph:
-    return Graph(graph.num_vertices,
-                 tuple((e.u, e.v, e.weight) for e in graph.edges))
 
 
 def _run_rounds(inst: Instance, weighted: bool, forced_first=None) -> PackResult:
@@ -128,20 +112,19 @@ def _run_rounds(inst: Instance, weighted: bool, forced_first=None) -> PackResult
             first_round = False
             if not graph.edges:
                 break
-            mg = _matching_graph(graph)
-            m = max_weight_matching(mg) if weighted else max_cardinality_matching(mg)
+            m = max_weight_matching(graph) if weighted else max_cardinality_matching(graph)
             if not m.edge_indices:
                 break
-            chosen = [graph.edges[i] for i in sorted(m.edge_indices)]
-        charts, savings = _merge_round(charts, chosen, inst.denominator)
+            chosen = sorted(m.edge_indices)
+        charts, savings = _merge_round(charts, graph, chosen, inst.denominator)
         rounds.append(_round_stats(graph, chosen, savings))
     return _finish(inst, charts, rounds)
 
 
 def _validate_forced(graph: UnionGraph, pairs):
     """Check the supplied id pairs form a maximum-weight matching of the
-    first-round graph and return the corresponding edges."""
-    by_pair = {(e.u, e.v): e for e in graph.edges}
+    first-round graph and return their edge ids."""
+    by_pair = {(u, v): i for i, (u, v, _) in enumerate(graph.edges)}
     used = set()
     chosen = []
     for i, j in pairs:
@@ -153,9 +136,8 @@ def _validate_forced(graph: UnionGraph, pairs):
             raise NotAMatching(f"chart {i if i in used else j} is paired twice")
         used.update((i, j))
         chosen.append(edge)
-    mg = _matching_graph(graph)
-    optimum = matching_weight(mg, max_weight_matching(mg))
-    forced_weight = sum(e.weight for e in chosen)
+    optimum = matching_weight(graph, max_weight_matching(graph))
+    forced_weight = sum(graph.edges[i][2] for i in chosen)
     if forced_weight < optimum:
         raise NotMaxWeight(
             f"forced matching weighs {forced_weight}, optimum is {optimum}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
+from .errors import InvariantViolation
 from .model import Instance, is_feasible, length
 from .packers import PackResult
 
@@ -58,8 +59,11 @@ class ReportRow:
 def row_for_run(name: str, inst: Instance, algo: str, result: PackResult,
                 opt: int | None, lb: int | None,
                 matching_based: bool = True) -> ReportRow:
-    assert is_feasible(inst, result.packing)
-    assert length(inst, result.packing) == result.length
+    if not is_feasible(inst, result.packing):
+        raise InvariantViolation(f"{algo} returned an infeasible packing")
+    if length(inst, result.packing) != result.length:
+        raise InvariantViolation(f"{algo} reported length {result.length}, "
+                                 "not its packing's")
     if not matching_based:
         # no matching rounds, so the x = w1/n bounds do not apply
         return ReportRow(name, inst.n, algo, result.length, None, None, opt, lb)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InfeasibleMerge, OverlapTooLarge
+from .matching import Graph
 from .model import BarChart
 
 Provenance = tuple[tuple[int, int], ...]
@@ -78,44 +79,55 @@ def best_union(x: Chart, y: Chart, denominator: int):
 
 
 @dataclass(frozen=True)
-class UnionEdge:
-    """One edge of the union graph, carrying its best realization.
+class UnionGraph(Graph):
+    """The union graph as the matcher reads it: (u, v, weight) edges with
+    u < v, sorted by (u, v), plus best[i], the (u_first, t) that
+    best_union(u, v) gives edge i. The weight is t on weighted graphs and
+    1 otherwise."""
 
-    u < v are chart indices; u_first says which chart goes left when the
-    union is realized; t is the overlap; weight is t on weighted graphs
-    and 1 otherwise.
-    """
-
-    u: int
-    v: int
-    u_first: bool
-    t: int
-    weight: int
-
-
-@dataclass(frozen=True)
-class UnionGraph:
-    num_vertices: int
-    edges: tuple[UnionEdge, ...]
+    best: tuple[tuple[bool, int], ...]
 
 
 def build_graph(charts, denominator: int, weighted: bool) -> UnionGraph:
     """Union graph over the given charts: one edge per unordered pair that
-    admits a feasible union, sorted by (u, v)."""
+    admits a feasible union, realized exactly as best_union would.
+
+    A union reads only the first two and last two cells of each side, so
+    those are read once. A chart shorter than two cells stands in inf for
+    the cells it lacks: no overlap fits inf, just as best_union skips an
+    overlap longer than a chart.
+    """
     charts = list(charts)
     if not charts:
         raise ValueError("cannot build a union graph over zero charts")
-    edges = []
-    for u in range(len(charts)):
-        for v in range(u + 1, len(charts)):
-            found = best_union(charts[u], charts[v], denominator)
-            if found is None:
-                continue
-            u_first, t = found
-            edges.append(UnionEdge(u, v, u_first, t, t if weighted else 1))
-    return UnionGraph(len(charts), tuple(edges))
+    inf = float("inf")
+    first = [ch.cells[0] if ch.cells else inf for ch in charts]
+    second = [ch.cells[1] if len(ch.cells) > 1 else inf for ch in charts]
+    penult = [ch.cells[-2] if len(ch.cells) > 1 else inf for ch in charts]
+    last = [ch.cells[-1] if ch.cells else inf for ch in charts]
+    n, d, w2 = len(charts), denominator, 2 if weighted else 1
+    edges, best = [], []
+    for u in range(n):
+        # room left beside u's boundary cells, tried in best_union's order
+        rp, rl, rf, rs = d - penult[u], d - last[u], d - first[u], d - second[u]
+        s = u + 1
+        for v, fv, sv, pv, lv in zip(range(s, n), first[s:], second[s:],
+                                     penult[s:], last[s:]):
+            if fv <= rp and sv <= rl:
+                edges.append((u, v, w2))
+                best.append((True, 2))
+            elif pv <= rf and lv <= rs:
+                edges.append((u, v, w2))
+                best.append((False, 2))
+            elif fv <= rl:
+                edges.append((u, v, 1))
+                best.append((True, 1))
+            elif lv <= rf:
+                edges.append((u, v, 1))
+                best.append((False, 1))
+    return UnionGraph(n, tuple(edges), tuple(best))
 
 
 def graph_to_edge_list(graph: UnionGraph) -> str:
     """Plain 'u v weight' lines, for debugging."""
-    return "".join(f"{e.u} {e.v} {e.weight}\n" for e in graph.edges)
+    return "".join(f"{u} {v} {w}\n" for u, v, w in graph.edges)

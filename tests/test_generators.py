@@ -96,15 +96,15 @@ class TestTightFamily:
         graph = build_graph([chart_from_bars(c) for c in inst.charts],
                             inst.denominator, weighted=True)
         greens = set(range(2 * k))
-        assert all(e.weight == 1 for e in graph.edges)
-        for e in graph.edges:
-            if e.u in greens and e.v not in greens:
-                assert e.u_first  # red before green is never feasible
+        assert all(w == 1 for _, _, w in graph.edges)
+        for (u, v, _), (u_first, _) in zip(graph.edges, graph.best):
+            if u in greens and v not in greens:
+                assert u_first  # red before green is never feasible
         expected = {(u, v) for u in greens for v in range(2 * k, 4 * k)}
         expected |= {(u, v) for u in greens for v in greens if u < v}
         reds = set(range(2 * k, 4 * k))
         expected |= {(u, v) for u in reds for v in reds if u < v}
-        assert {(e.u, e.v) for e in graph.edges} == expected
+        assert {(u, v) for u, v, _ in graph.edges} == expected
 
     def test_forced_pairs_shape(self):
         inst = gen_tight_family(2, 100)

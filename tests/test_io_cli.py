@@ -4,9 +4,12 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from barpack.cli import main
-from barpack.errors import InfeasiblePacking
+from barpack import packers, report
+from barpack.cli import _worker_count, main
+from barpack.errors import BarpackError, InfeasiblePacking, InvariantViolation
 from barpack.generators import gen_big, gen_general, gen_tight_family
 from barpack.model import (
     Packing,
@@ -18,7 +21,7 @@ from barpack.model import (
 )
 from barpack.packers import pack_result_to_json, pack_weighted_matching
 from barpack.render import render_svg
-from barpack.report import ReportRow, max_ratio_by_algo, rows_to_csv
+from barpack.report import ReportRow, max_ratio_by_algo, row_for_run, rows_to_csv
 
 
 class TestJsonRoundTrips:
@@ -254,3 +257,122 @@ class TestCli:
     def test_force_first_requires_mw(self, tight_instance_file):
         assert main(["solve", str(tight_instance_file), "--algo", "m",
                      "--force-first", "g-r"]) == 2
+
+
+MALFORMED_INSTANCES = [
+    '{"version":1,"denominator":100,"charts":[5]}',
+    '[]',
+    '[[true,true]]',
+    '"charts"',
+    'null',
+    '{"version":1,"denominator":100,"charts":[[true,true]]}',
+    '{"version":1,"denominator":100,"charts":[[50,true]]}',
+    '{"version":1,"denominator":true,"charts":[[1,1]]}',
+    '{"version":true,"denominator":100,"charts":[[1,1]]}',
+    '{"version":1,"denominator":100}',
+    '{"version":1,"charts":[[1,1]]}',
+    '{"version":1,"denominator":100,"charts":{"0":[1,1]}}',
+    '{"version":1,"denominator":100,"charts":[[1,2,3]]}',
+    '{"version":1,"denominator":100,"charts":[[1.5,2]]}',
+    '[' * 100_000,
+]
+
+MALFORMED_PACKINGS = ['[1,2]', '{}', '{"starts":5}', '{"starts":[true,1]}', 'null']
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=12)
+instance_like = st.fixed_dictionaries(
+    {"version": st.sampled_from([1, True, 1.0, "1"]),
+     "denominator": json_values, "charts": json_values})
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("text", MALFORMED_INSTANCES, ids=lambda t: t[:40])
+    def test_instance_exits_two(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["solve", str(path), "--algo", "m"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("barpack: ") and "Traceback" not in err
+        # compare turns the same file into an error row and carries on
+        assert main(["compare", str(path), "--algos", "m"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert rows[0].startswith("bad.json,0,-,") and "error" in rows[0]
+
+    @pytest.mark.parametrize("text", MALFORMED_PACKINGS)
+    def test_packing_exits_two(self, text, tight_instance_file, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        svg = tmp_path / "out.svg"
+        assert main(["render", str(tight_instance_file), str(path),
+                     "--out", str(svg)]) == 2
+        assert capsys.readouterr().err.startswith("barpack: ")
+        assert not svg.exists()
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values | instance_like)
+    def test_any_json_loads_or_raises_barpack_error(self, value):
+        text = json.dumps(value)
+        for parse in (instance_from_json, packing_from_json):
+            try:
+                parse(text)
+            except BarpackError:
+                pass
+
+
+class TestInvariantExitCode:
+    def test_packer_check_exits_three(self, tight_instance_file, monkeypatch, capsys):
+        real_length = packers.length
+        monkeypatch.setattr(packers, "length", lambda inst, p: real_length(inst, p) + 1)
+        assert main(["solve", str(tight_instance_file), "--algo", "m"]) == 3
+        assert "internal invariant violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch", [
+        ("length", lambda real: lambda inst, p: real(inst, p) + 1),
+        ("is_feasible", lambda real: lambda inst, p: False),
+    ], ids=["length", "is_feasible"])
+    def test_report_checks_raise_and_exit_three(self, patch, monkeypatch, capsys):
+        name, make = patch
+        monkeypatch.setattr(report, name, make(getattr(report, name)))
+        inst = gen_tight_family(1, 100)
+        result = pack_weighted_matching(inst)
+        with pytest.raises(InvariantViolation):
+            row_for_run("x", inst, "mw", result, None, None)
+        monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        # compare's worker catches BarpackError only; the violation passes it
+        assert main(["compare", "--family", "big", "--n", "4", "--algos", "m"]) == 3
+        assert "internal invariant violation" in capsys.readouterr().err
+
+    def test_invariant_violation_is_not_an_input_error(self):
+        assert issubclass(InvariantViolation, AssertionError)
+        assert not issubclass(InvariantViolation, BarpackError)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("requested, jobs, cpus, expected", [
+        (None, 10, 8, 1),
+        ("1", 10, 8, 1),
+        ("4", 10, 8, 4),
+        ("4", 10, 2, 2),
+        ("64", 3, 8, 3),
+        ("4", 0, 8, 1),
+        ("4", 10, None, 1),
+    ])
+    def test_clamp(self, requested, jobs, cpus, expected):
+        assert _worker_count(requested, jobs, cpus) == expected
+
+    @pytest.mark.parametrize("requested", ["0", "-2", "", "two", "2.5"])
+    def test_rejects(self, requested):
+        with pytest.raises(BarpackError, match="BARPACK_THREADS"):
+            _worker_count(requested, 10, 8)
+
+    def test_cli_rejects_bad_value(self, monkeypatch, capsys):
+        monkeypatch.setenv("BARPACK_THREADS", "0")
+        assert main(["compare", "--family", "big", "--n", "4", "--count", "2",
+                     "--algos", "m"]) == 2
+        assert "BARPACK_THREADS" in capsys.readouterr().err

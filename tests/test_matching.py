@@ -1,5 +1,6 @@
 """Matching engine: examples, structural validity, oracle equivalence."""
 
+import gc
 import random
 
 import pytest
@@ -65,6 +66,21 @@ class TestMaxWeight:
     def test_deterministic(self):
         g = graph(6, (0, 1, 2), (2, 3, 2), (4, 5, 2), (1, 2, 2), (3, 4, 2))
         assert max_weight_matching(g) == max_weight_matching(g)
+
+
+    def test_leaves_no_reference_cycles(self):
+        # the solver's state must be freed when it returns, not whenever
+        # the cyclic collector next runs
+        g = graph(6, (0, 1, 2), (1, 2, 2), (2, 0, 2), (2, 3, 1), (3, 4, 2),
+                  (4, 5, 2), (5, 3, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            max_weight_matching(g)
+            max_cardinality_matching(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBruteForce:

@@ -1,13 +1,22 @@
 """Packers: iterated-matching loops, forced first round, first fit, layout."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from barpack.errors import NotAMatching, NotMaxWeight, ProvenanceGap
+import barpack
+from barpack import packers
+from barpack.errors import InvariantViolation, NotAMatching, NotMaxWeight, ProvenanceGap
 from barpack.exact import solve_exact
 from barpack.generators import (
+    GenSpec,
     gen_big,
     gen_big_nonincreasing,
     gen_tight_family,
+    generate,
     tight_family_forced_pairs,
 )
 from barpack.model import BarChart, is_feasible, length, occupancy, validate_instance
@@ -206,3 +215,101 @@ class TestResultJson:
         inst = validate_instance([(0.4, 0.6), (0.6, 0.4)], 10)
         text = pack_result_to_json(pack_weighted_matching(inst))
         assert text == '{"length":2,"starts":[1,1],"trace":[{"m":1,"w":2,"s":2}]}'
+
+
+# pack_result_to_json bytes of (pack_matching, pack_weighted_matching),
+# recorded before the union graph became a flat edge list; for the tight
+# family the size is k and the seed is unused.
+GOLDEN_RESULTS = {
+    ("big-nonincreasing", 16, 0): (
+        '{"length":21,"starts":[1,20,12,6,9,11,3,4,10,14,8,17,15,5,13,19],'
+        '"trace":[{"m":7,"w":7,"s":7},{"m":3,"w":3,"s":3},{"m":1,"w":1,"s":1}]}',
+        '{"length":21,"starts":[1,20,12,6,9,11,3,4,10,14,8,17,15,5,13,19],'
+        '"trace":[{"m":7,"w":7,"s":7},{"m":3,"w":3,"s":3},{"m":1,"w":1,"s":1}]}'),
+    ("big-nonincreasing", 16, 1): (
+        '{"length":23,"starts":[6,1,4,10,9,16,13,12,2,7,5,15,19,22,18,21],'
+        '"trace":[{"m":8,"w":8,"s":8},{"m":1,"w":1,"s":1}]}',
+        '{"length":23,"starts":[6,1,4,10,9,16,13,12,2,7,5,15,19,22,18,21],'
+        '"trace":[{"m":8,"w":8,"s":8},{"m":1,"w":1,"s":1}]}'),
+    ("big-nonincreasing", 16, 2): (
+        '{"length":24,"starts":[1,17,23,3,6,8,9,12,18,16,15,20,13,22,4,10],'
+        '"trace":[{"m":6,"w":6,"s":6},{"m":2,"w":2,"s":2}]}',
+        '{"length":24,"starts":[1,17,23,3,6,8,9,12,18,16,15,20,13,22,4,10],'
+        '"trace":[{"m":6,"w":6,"s":6},{"m":2,"w":2,"s":2}]}'),
+    ("big", 16, 0): (
+        '{"length":26,"starts":[1,18,4,25,6,9,11,13,22,15,2,17,19,7,21,24],'
+        '"trace":[{"m":5,"w":5,"s":5},{"m":1,"w":1,"s":1}]}',
+        '{"length":27,"starts":[1,4,6,26,8,11,13,2,4,15,17,19,21,23,25,9],'
+        '"trace":[{"m":4,"w":5,"s":5}]}'),
+    ("big", 16, 1): (
+        '{"length":25,"starts":[21,1,4,24,12,7,9,11,2,14,5,18,17,20,15,23],'
+        '"trace":[{"m":7,"w":7,"s":7}]}',
+        '{"length":24,"starts":[1,4,7,2,8,10,23,12,5,15,13,17,19,22,20,17],'
+        '"trace":[{"m":7,"w":8,"s":8}]}'),
+    ("big", 16, 2): (
+        '{"length":24,"starts":[1,4,7,10,2,5,13,8,20,16,17,19,22,11,23,14],'
+        '"trace":[{"m":8,"w":8,"s":8}]}',
+        '{"length":24,"starts":[1,3,5,7,10,12,15,17,8,10,19,21,23,13,5,3],'
+        '"trace":[{"m":5,"w":8,"s":8}]}'),
+    ("general", 16, 0): (
+        '{"length":21,"starts":[1,20,4,17,6,10,12,16,8,15,7,17,19,13,4,2],'
+        '"trace":[{"m":7,"w":7,"s":9},{"m":2,"w":2,"s":2}]}',
+        '{"length":21,"starts":[1,20,4,6,2,8,10,14,15,13,6,17,19,11,4,17],'
+        '"trace":[{"m":7,"w":10,"s":10},{"m":1,"w":1,"s":1}]}'),
+    ("general", 16, 1): (
+        '{"length":21,"starts":[20,1,4,13,17,9,6,12,12,7,16,10,14,2,5,19],'
+        '"trace":[{"m":8,"w":8,"s":9},{"m":2,"w":2,"s":2}]}',
+        '{"length":20,"starts":[1,4,3,6,8,10,1,12,14,19,14,6,16,12,10,18],'
+        '"trace":[{"m":7,"w":12,"s":12}]}'),
+    ("general", 16, 2): (
+        '{"length":22,"starts":[2,1,12,11,16,4,7,21,5,19,10,15,8,18,13,20],'
+        '"trace":[{"m":8,"w":8,"s":8},{"m":2,"w":2,"s":2}]}',
+        '{"length":22,"starts":[2,1,4,21,6,8,11,14,9,11,6,13,16,4,18,20],'
+        '"trace":[{"m":7,"w":10,"s":10}]}'),
+    ("tight", 1, 0): (
+        '{"length":6,"starts":[1,4,5,2],"trace":[{"m":2,"w":2,"s":2}]}',
+        '{"length":6,"starts":[1,4,5,2],"trace":[{"m":2,"w":2,"s":2}]}'),
+    ("tight", 2, 1): (
+        '{"length":12,"starts":[1,4,7,10,11,8,5,2],"trace":[{"m":4,"w":4,"s":4}]}',
+        '{"length":12,"starts":[1,4,7,10,11,8,5,2],"trace":[{"m":4,"w":4,"s":4}]}'),
+    ("tight", 3, 2): (
+        '{"length":18,"starts":[1,4,7,10,13,16,17,14,11,8,5,2],"trace":[{"m":6,"w":6,"s":6}]}',
+        '{"length":18,"starts":[1,4,7,10,13,16,17,14,11,8,5,2],"trace":[{"m":6,"w":6,"s":6}]}'),
+}
+
+
+class TestGoldenResults:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_RESULTS), ids=str)
+    def test_result_bytes_unchanged(self, case):
+        inst = generate(GenSpec(*case))
+        m_json, mw_json = GOLDEN_RESULTS[case]
+        assert pack_result_to_json(pack_matching(inst)) == m_json
+        assert pack_result_to_json(pack_weighted_matching(inst)) == mw_json
+
+
+class TestInvariantChecks:
+    def test_telescoping_length_checked_without_assert(self, monkeypatch):
+        real_length = packers.length
+        monkeypatch.setattr(packers, "length", lambda inst, p: real_length(inst, p) + 1)
+        inst = validate_instance([(0.4, 0.6), (0.6, 0.4)], 10)
+        for packer in (pack_matching, pack_weighted_matching):
+            with pytest.raises(InvariantViolation, match="2n - savings"):
+                packer(inst)
+
+    def test_check_survives_python_O(self):
+        code = "\n".join([
+            "import barpack.packers as p",
+            "from barpack.errors import InvariantViolation",
+            "from barpack.model import validate_instance",
+            "real = p.length",
+            "p.length = lambda inst, packing: real(inst, packing) + 1",
+            "try:",
+            "    p.pack_matching(validate_instance([(0.4, 0.6), (0.6, 0.4)], 10))",
+            "except InvariantViolation:",
+            "    print('raised')",
+        ])
+        src = str(Path(barpack.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.stdout.strip() == "raised", run.stderr

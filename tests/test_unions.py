@@ -7,11 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barpack import packers
 from barpack.errors import InfeasibleMerge, OverlapTooLarge
-from barpack.generators import gen_big, gen_big_nonincreasing, gen_tight_family
+from barpack.generators import (
+    GenSpec,
+    gen_big,
+    gen_big_nonincreasing,
+    gen_tight_family,
+    generate,
+)
 from barpack.model import BarChart, Instance, Packing, occupancy
-from barpack.packers import pack_weighted_matching
+from barpack.packers import pack_matching, pack_weighted_matching
 from barpack.unions import (
+    Chart,
     best_union,
     build_graph,
     chart_from_bars,
@@ -113,7 +121,7 @@ class TestBuildGraph:
     def test_tight_family_k1_edges(self):
         inst = gen_tight_family(1, 100)
         graph = build_graph([chart_from_bars(c) for c in inst.charts], 100, True)
-        got = {(e.u, e.v, e.weight) for e in graph.edges}
+        got = set(graph.edges)
         assert got == _brute_force_edges(inst)
         # greens chain, reds chain, and every green-red pair; all 1-unions
         assert got == {(0, 1, 1), (2, 3, 1),
@@ -122,22 +130,99 @@ class TestBuildGraph:
     def test_single_two_union_edge(self):
         charts = [two_bar(0, 0.4, 0.6), two_bar(1, 0.6, 0.4)]
         graph = build_graph(charts, 100, weighted=True)
-        assert [(e.u, e.v, e.weight) for e in graph.edges] == [(0, 1, 2)]
+        assert list(graph.edges) == [(0, 1, 2)]
         unweighted = build_graph(charts, 100, weighted=False)
-        assert unweighted.edges[0].weight == 1
-        assert unweighted.edges[0].t == 2  # best overlap still recorded
+        assert unweighted.edges[0][2] == 1  # weight
+        assert unweighted.best[0][1] == 2  # best overlap still recorded
 
     def test_matches_brute_force_on_random_instances(self):
         for seed in range(30):
             inst = gen_big(6, seed, 1000)
             graph = build_graph([chart_from_bars(c) for c in inst.charts],
                                 inst.denominator, True)
-            assert {(e.u, e.v, e.weight) for e in graph.edges} == _brute_force_edges(inst)
+            assert set(graph.edges) == _brute_force_edges(inst)
 
     def test_edge_list_export(self):
         charts = [two_bar(0, 0.4, 0.6), two_bar(1, 0.6, 0.4)]
         graph = build_graph(charts, 100, weighted=True)
         assert graph_to_edge_list(graph) == "0 1 2\n"
+
+
+def _reference_edges(charts, denominator, weighted):
+    """The union graph as a loop of best_union over all pairs gives it:
+    (u, v, u_first, t, weight) in (u, v) order."""
+    edges = []
+    for u, v in combinations(range(len(charts)), 2):
+        found = best_union(charts[u], charts[v], denominator)
+        if found is not None:
+            u_first, t = found
+            edges.append((u, v, u_first, t, t if weighted else 1))
+    return edges
+
+
+def _graph_edges(graph):
+    assert len(graph.best) == len(graph.edges)
+    return [(u, v, u_first, t, w)
+            for (u, v, w), (u_first, t) in zip(graph.edges, graph.best)]
+
+
+class TestBuildGraphDifferential:
+    """build_graph edge for edge against the best_union loop it replaces,
+    on the charts every round of both packers builds its graph over."""
+
+    @pytest.mark.parametrize("packer", [pack_matching, pack_weighted_matching])
+    @pytest.mark.parametrize("family", ["big-nonincreasing", "big", "general", "tight"])
+    def test_every_round_of_both_packers(self, family, packer, monkeypatch):
+        seen = {"builds": 0, "merged_two_cell": 0, "three_plus": 0}
+
+        def checked_build(charts, denominator, weighted):
+            graph = build_graph(charts, denominator, weighted)
+            assert graph.num_vertices == len(charts)
+            assert _graph_edges(graph) == _reference_edges(charts, denominator, weighted)
+            seen["builds"] += 1
+            seen["merged_two_cell"] += sum(
+                1 for ch in charts if len(ch) == 2 and len(ch.provenance) > 1)
+            seen["three_plus"] += sum(1 for ch in charts if len(ch) >= 3)
+            return graph
+
+        monkeypatch.setattr(packers, "build_graph", checked_build)
+        if family == "tight":
+            specs = [GenSpec(family, k, 0, 100 * d) for k in (1, 2, 3) for d in (1, 7)]
+        else:
+            # D = 20 makes shared cells that load to exactly 1 common
+            specs = [GenSpec(family, 12, seed, d)
+                     for seed in range(30) for d in (20, 1_000_000)]
+        for spec in specs:
+            packer(generate(spec))
+        assert seen["builds"] >= len(specs)
+        assert seen["three_plus"] > 0
+        if family in ("big", "general"):
+            assert seen["merged_two_cell"] > 0
+
+
+@st.composite
+def short_charts(draw):
+    """Charts of 0 to 4 cells, as the public Chart dataclass allows."""
+    denom = draw(st.integers(1, 12))
+    count = draw(st.integers(1, 7))
+    charts = [Chart(tuple(draw(st.lists(st.integers(0, 14), max_size=4))), ((i, 0),))
+              for i in range(count)]
+    return charts, denom
+
+
+class TestBuildGraphShortCharts:
+    def test_one_cell_chart(self):
+        one = Chart((30,), ((0, 0),))
+        graph = build_graph([one, two_bar(1, 0.7, 0.3)], 100, weighted=True)
+        assert graph.edges == ((0, 1, 1),)
+        assert graph.best == ((True, 1),) == (best_union(one, two_bar(1, 0.7, 0.3), 100),)
+
+    @settings(max_examples=300, deadline=None)
+    @given(short_charts(), st.booleans())
+    def test_matches_best_union(self, case, weighted):
+        charts, denom = case
+        got = _graph_edges(build_graph(charts, denom, weighted))
+        assert got == _reference_edges(charts, denom, weighted)
 
 
 class TestProvenanceSoundness:
@@ -161,7 +246,7 @@ class TestBigInstanceStructure:
             inst = gen_big_nonincreasing(7, seed)
             graph = build_graph([chart_from_bars(c) for c in inst.charts],
                                 inst.denominator, True)
-            assert all(e.weight == 1 for e in graph.edges)
+            assert all(w == 1 for _, _, w in graph.edges)
 
     def test_no_two_unions_after_first_weighted_round(self):
         # charts of length >= 3 built by the weighted packer never admit
