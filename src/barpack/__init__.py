@@ -43,6 +43,7 @@ from .model import (
     BarChart,
     Instance,
     Packing,
+    checked_occupancy,
     compact,
     height_numerator,
     instance_from_json,

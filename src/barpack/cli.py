@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import BarpackError
-from .exact import export_blp, lower_bound, solve_exact
+from .exact import DEFAULT_NODE_BUDGET, export_blp, lower_bound, solve_exact
 from .generators import GenSpec, generate, tight_family_forced_pairs
 from .model import (
     Instance,
@@ -24,6 +24,8 @@ from .model import (
     packing_from_json,
 )
 from .packers import (
+    PackResult,
+    RunTrace,
     pack_first_fit,
     pack_forced_first_matching,
     pack_matching,
@@ -40,7 +42,8 @@ from .report import (
 )
 
 FAMILIES = ("big-nonincreasing", "big", "general", "tight")
-ALGOS = ("m", "mw", "ff", "exact")
+# the packers solve and compare run by name; solve also offers "exact"
+PACKERS = {"m": pack_matching, "mw": pack_weighted_matching, "ff": pack_first_fit}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,10 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="pack one instance")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--algo", required=True, choices=ALGOS)
+    p_solve.add_argument("--algo", required=True, choices=(*PACKERS, "exact"))
     p_solve.add_argument("--force-first", default=None,
                          help='first-round pairing for --algo mw: "g-r" or "0-2,1-3"')
-    p_solve.add_argument("--budget", type=int, default=None,
+    p_solve.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                          help="node budget for --algo exact")
     p_solve.add_argument("--out", default=None, help="result JSON path")
     p_solve.set_defaults(func=_cmd_solve)
@@ -82,10 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--count", type=int, default=1, help="instances in the sweep")
     p_cmp.add_argument("--seed0", type=int, default=0, help="first seed of the sweep")
     p_cmp.add_argument("--denominator", type=int, default=1_000_000)
-    p_cmp.add_argument("--algos", default="m,mw", help="comma list from m,mw,ff")
+    p_cmp.add_argument("--algos", default="m,mw",
+                       help=f"comma list from {','.join(PACKERS)}")
     p_cmp.add_argument("--force-first", default=None)
     p_cmp.add_argument("--oracle", action="store_true", help="add exact OPT per instance")
-    p_cmp.add_argument("--budget", type=int, default=None)
+    p_cmp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_cmp.add_argument("--out", default=None, help="CSV path (appends if present)")
     p_cmp.set_defaults(func=_cmd_compare)
 
@@ -109,64 +113,68 @@ def _load_instance(path: str) -> Instance:
     return instance_from_json(Path(path).read_text())
 
 
-def _parse_forced(spec: str, inst: Instance) -> list[tuple[int, int]]:
-    if spec == "g-r":
-        return tight_family_forced_pairs(inst)
+def _run_options(args, algos):
+    """Check --budget and --force-first before any instance runs; returns
+    the forced pairing: None, "g-r" or a list of (id, id) pairs."""
+    if args.budget < 0:
+        raise BarpackError(f"--budget {args.budget} must be at least 0")
+    if args.force_first is None:
+        return None
+    if "mw" not in algos:
+        raise BarpackError("--force-first only applies to the mw algorithm")
+    if args.force_first == "g-r":
+        return "g-r"
     pairs = []
-    for part in spec.split(","):
+    for part in args.force_first.split(","):
         left, _, right = part.partition("-")
         pairs.append((int(left), int(right)))
     return pairs
 
 
+def _run_packer(algo: str, inst: Instance, forced) -> tuple[str, PackResult]:
+    """(report label, result) of one packer run; mw with a forced first
+    round runs as mw-forced."""
+    if algo == "mw" and forced is not None:
+        pairs = tight_family_forced_pairs(inst) if forced == "g-r" else forced
+        return "mw-forced", pack_forced_first_matching(inst, pairs)
+    return algo, PACKERS[algo](inst)
+
+
+def _family_size(args) -> int:
+    """The generator size: --k for the tight family, --n for the others."""
+    flag = "k" if args.family == "tight" else "n"
+    size = getattr(args, flag)
+    if size is None:
+        raise BarpackError(f"--family {args.family} needs --{flag}")
+    return size
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "tight":
-        if args.k is None:
-            raise BarpackError("--family tight needs --k")
-        size = args.k
-    else:
-        if args.n is None:
-            raise BarpackError(f"--family {args.family} needs --n")
-        size = args.n
-    inst = generate(GenSpec(args.family, size, args.seed, args.denominator))
+    inst = generate(GenSpec(args.family, _family_size(args), args.seed, args.denominator))
     Path(args.out).write_text(instance_to_json(inst))
     print(f"wrote {args.out} n={inst.n}")
     return 0
 
 
 def _cmd_solve(args) -> int:
+    forced = _run_options(args, (args.algo,))
     inst = _load_instance(args.instance)
-    if args.force_first is not None and args.algo != "mw":
-        raise BarpackError("--force-first only applies to --algo mw")
+    extra, tail = None, ""
     if args.algo == "exact":
-        budget = args.budget if args.budget is not None else 10 ** 8
-        res = solve_exact(inst, budget=budget)
-        payload = {"length": res.opt_length,
-                   "starts": list(res.packing.starts),
-                   "trace": [],
-                   "proven": res.proven}
-        text = json.dumps(payload, separators=(",", ":"))
-        print(f"algo=exact n={inst.n} L={res.opt_length} rounds=0 "
-              f"proven={'true' if res.proven else 'false'}")
+        res = solve_exact(inst, budget=args.budget)
+        result = PackResult(res.packing, RunTrace(inst.n, (), inst.n), res.opt_length)
+        extra, tail = {"proven": res.proven}, f" proven={json.dumps(res.proven)}"
     else:
-        if args.algo == "m":
-            result = pack_matching(inst)
-        elif args.algo == "ff":
-            result = pack_first_fit(inst)
-        elif args.force_first is not None:
-            result = pack_forced_first_matching(inst, _parse_forced(args.force_first, inst))
-        else:
-            result = pack_weighted_matching(inst)
-        text = pack_result_to_json(result)
-        print(f"algo={args.algo} n={inst.n} L={result.length} "
-              f"rounds={len(result.trace.rounds)}")
+        result = _run_packer(args.algo, inst, forced)[1]
+    print(f"algo={args.algo} n={inst.n} L={result.length} "
+          f"rounds={len(result.trace.rounds)}{tail}")
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(pack_result_to_json(result, extra))
     return 0
 
 
 def _compare_worker(payload) -> list[ReportRow]:
-    name, inst_json, algos, forced_spec, oracle, budget = payload
+    name, inst_json, algos, forced, oracle, budget = payload
     try:
         inst = instance_from_json(inst_json)
     except (BarpackError, ValueError) as exc:  # ValueError: not JSON at all
@@ -177,7 +185,7 @@ def _compare_worker(payload) -> list[ReportRow]:
     rows = []
     if oracle:
         try:
-            res = solve_exact(inst, budget=budget if budget is not None else 10 ** 8)
+            res = solve_exact(inst, budget=budget)
             if res.proven:
                 opt = res.opt_length
         except BarpackError as exc:
@@ -185,22 +193,9 @@ def _compare_worker(payload) -> list[ReportRow]:
                                   None, lb, status=f"error: {exc}"))
     for algo in algos:
         try:
-            matching_based = True
-            if algo == "m":
-                result = pack_matching(inst)
-                label = "m"
-            elif algo == "ff":
-                result = pack_first_fit(inst)
-                label = "ff"
-                matching_based = False
-            elif forced_spec is not None:
-                result = pack_forced_first_matching(inst, _parse_forced(forced_spec, inst))
-                label = "mw-forced"
-            else:
-                result = pack_weighted_matching(inst)
-                label = "mw"
+            label, result = _run_packer(algo, inst, forced)
             rows.append(row_for_run(name, inst, label, result, opt, lb,
-                                    matching_based=matching_based))
+                                    matching_based=algo != "ff"))
         except BarpackError as exc:
             rows.append(ReportRow(name, inst.n, algo, None, None, None,
                                   opt, lb, status=f"error: {exc}"))
@@ -224,8 +219,9 @@ def _worker_count(requested: str | None, jobs: int, cpus: int | None) -> int:
 def _cmd_compare(args) -> int:
     algos = tuple(a for a in args.algos.split(",") if a)
     for a in algos:
-        if a not in ("m", "mw", "ff"):
-            raise BarpackError(f"unknown algo {a!r} (compare accepts m, mw, ff)")
+        if a not in PACKERS:
+            raise BarpackError(f"unknown algo {a!r} (compare accepts {', '.join(PACKERS)})")
+    forced = _run_options(args, algos)
 
     payloads = []
     for path in args.instances:
@@ -233,17 +229,14 @@ def _cmd_compare(args) -> int:
             text = Path(path).read_text()
         except OSError as exc:
             text = f"unreadable: {exc}"  # parses as junk -> error row
-        payloads.append((Path(path).name, text, algos,
-                         args.force_first, args.oracle, args.budget))
+        payloads.append((Path(path).name, text, algos, forced, args.oracle, args.budget))
     if args.family:
-        size = args.k if args.family == "tight" else args.n
-        if size is None:
-            raise BarpackError("sweep needs --n (or --k for the tight family)")
+        size = _family_size(args)
         for seed in range(args.seed0, args.seed0 + args.count):
             spec = GenSpec(args.family, size, seed, args.denominator)
             name = f"{args.family}-{size}-s{seed}"
             payloads.append((name, instance_to_json(generate(spec)), algos,
-                             args.force_first, args.oracle, args.budget))
+                             forced, args.oracle, args.budget))
 
     threads = _worker_count(os.environ.get("BARPACK_THREADS"), len(payloads),
                             os.cpu_count())
@@ -298,8 +291,8 @@ def main(argv=None) -> int:
     except (BarpackError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"barpack: {exc}", file=sys.stderr)
         return 2
-    except AssertionError:
-        print("barpack: internal invariant violation", file=sys.stderr)
+    except AssertionError as exc:
+        print(f"barpack: internal invariant violation: {exc}", file=sys.stderr)
         return 3
 
 

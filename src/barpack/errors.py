@@ -53,7 +53,7 @@ class TooLarge(BarpackError):
 
 
 class NotAMatching(BarpackError):
-    """Supplied pairs reuse a vertex or name a non-edge."""
+    """Supplied pairs reuse a vertex, name a non-edge, or cannot be formed."""
 
 
 class NotMaxWeight(BarpackError):

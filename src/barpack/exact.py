@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfeasiblePacking, JmaxTooSmall, NotBigInstance
-from .model import Instance, Packing, compact, occupancy
+from .errors import JmaxTooSmall, NotBigInstance
+from .model import Instance, Packing, checked_occupancy, compact
 from .packers import pack_weighted_matching
 
 DEFAULT_NODE_BUDGET = 10 ** 8
@@ -33,22 +33,14 @@ def lower_bound(inst: Instance) -> int:
     return max(area, big, 2)
 
 
-def solve_exact(inst: Instance, upper: int | None = None,
-                budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
+def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
     """Minimum packing length with a witness.
 
     Starts from the weighted-matching heuristic and searches start-cell
     assignments below the incumbent, pruning on per-cell feasibility and
     on exact length bounds. proven is False when the node budget ran out,
     in which case opt_length is only an upper bound.
-
-    upper, when given, must be a genuine upper bound on the optimum (any
-    feasible packing's length qualifies); it narrows the searched start
-    cells, so an untruthful value can hide the optimum.
     """
-    lb = lower_bound(inst)
-    if upper is not None and upper < lb:
-        raise ValueError(f"upper bound {upper} below the lower bound {lb}")
     seed = pack_weighted_matching(inst)
     best_len = seed.length
     best_packing = seed.packing
@@ -82,8 +74,7 @@ def solve_exact(inst: Instance, upper: int | None = None,
         a, b = heights[pos]
         rem_tall[pos] = rem_tall[pos + 1] + (1 if is_tall(a) else 0) + (1 if is_tall(b) else 0)
 
-    cap = upper if upper is not None else best_len
-    max_cell = min(best_len, cap) + 1
+    max_cell = best_len + 1
     loads = [0] * (max_cell + 2)
     starts = [0] * n
     nodes = 0
@@ -105,7 +96,7 @@ def solve_exact(inst: Instance, upper: int | None = None,
             return
         a, b = heights[pos]
         lo = 1 if prev_same[pos] < 0 else starts[prev_same[pos]]
-        hi = min(best_len, cap) - 1
+        hi = best_len - 1
         if pos == n - 1 and ones == 0:
             hi = min(hi, 1)
         s = lo
@@ -133,7 +124,7 @@ def solve_exact(inst: Instance, upper: int | None = None,
                         ones -= 1
                     loads[s] = la
                     loads[s + 1] = lb2
-                    hi = min(best_len, cap) - 1
+                    hi = best_len - 1
             s += 1
 
     search(0, 0, 0)
@@ -170,9 +161,7 @@ def disassemble(inst: Instance, packing: Packing) -> tuple[DisassemblyRound, ...
     """
     if not inst.all_big():
         raise NotBigInstance("disassembly is only defined for big charts")
-    cells = occupancy(inst, packing)
-    if any(load > inst.denominator for load in cells):
-        raise InfeasiblePacking("cannot disassemble an infeasible packing")
+    checked_occupancy(inst, packing)
 
     by_start = sorted(range(inst.n), key=lambda i: (packing.starts[i], i))
     components = []

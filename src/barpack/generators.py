@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import KTooSmall
+from .errors import KTooSmall, NotAMatching
 from .model import DEFAULT_DENOMINATOR, BarChart, Instance
 
 
@@ -117,6 +117,6 @@ def tight_family_forced_pairs(inst: Instance) -> list[tuple[int, int]]:
     """The adversarial all-green-red pairing for a tight-family instance:
     green i is paired with red i + n/2."""
     if inst.n % 2 != 0:
-        raise ValueError("tight family instances have even n")
+        raise NotAMatching(f"the g-r pairing needs an even chart count, not {inst.n}")
     half = inst.n // 2
     return [(i, i + half) for i in range(half)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TooLarge
+from .errors import InvariantViolation, TooLarge
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,40 @@ class _Blossom:
                 stack.extend(t.childs)
             else:
                 yield t
+
+
+def _verify_optimum(edges, mate, dualvar, blossomdual, blossomparent):
+    """Prove mate optimal by complementary slackness against the final
+    (doubled) duals; integer-exact. Raises InvariantViolation rather than
+    asserting, so the proof also runs under python -O."""
+    if min(dualvar.values()) < 0 or min(blossomdual.values(), default=0) < 0:
+        raise InvariantViolation("matching solver left a negative dual")
+    for u, v, w in edges:
+        s = dualvar[u] + dualvar[v] - 2 * w
+        ublossoms = [u]
+        vblossoms = [v]
+        while blossomparent[ublossoms[-1]] is not None:
+            ublossoms.append(blossomparent[ublossoms[-1]])
+        while blossomparent[vblossoms[-1]] is not None:
+            vblossoms.append(blossomparent[vblossoms[-1]])
+        ublossoms.reverse()
+        vblossoms.reverse()
+        for bi, bj in zip(ublossoms, vblossoms):
+            if bi != bj:
+                break
+            s += 2 * blossomdual[bi]
+        if s < 0:
+            raise InvariantViolation(f"edge ({u}, {v}) has negative slack {s}")
+        if (mate.get(u) == v or mate.get(v) == u) and (
+                mate.get(u) != v or mate.get(v) != u or s != 0):
+            raise InvariantViolation(f"matched edge ({u}, {v}) is one-sided or not tight")
+    for v, dual in dualvar.items():
+        if v not in mate and dual != 0:
+            raise InvariantViolation(f"free vertex {v} has dual {dual}")
+    for b, dual in blossomdual.items():
+        if dual > 0 and (len(b.edges) % 2 == 0 or any(
+                mate.get(u) != v or mate.get(v) != u for u, v in b.edges[1::2])):
+            raise InvariantViolation("a blossom with positive dual is not full")
 
 
 def _maximum_weight_mates(num_vertices, edges):
@@ -440,36 +474,6 @@ def _maximum_weight_mates(num_vertices, edges):
                     augment_blossom(bt, j)
                 mate[j] = s
 
-    def verify_optimum():
-        # complementary slackness against the final duals; integer-exact
-        assert min(dualvar.values()) >= 0
-        assert len(blossomdual) == 0 or min(blossomdual.values()) >= 0
-        for u, v, w in edges:
-            s = dualvar[u] + dualvar[v] - 2 * w
-            ublossoms = [u]
-            vblossoms = [v]
-            while blossomparent[ublossoms[-1]] is not None:
-                ublossoms.append(blossomparent[ublossoms[-1]])
-            while blossomparent[vblossoms[-1]] is not None:
-                vblossoms.append(blossomparent[vblossoms[-1]])
-            ublossoms.reverse()
-            vblossoms.reverse()
-            for bi, bj in zip(ublossoms, vblossoms):
-                if bi != bj:
-                    break
-                s += 2 * blossomdual[bi]
-            assert s >= 0
-            if mate.get(u) == v or mate.get(v) == u:
-                assert mate[u] == v and mate[v] == u
-                assert s == 0
-        for v in gnodes:
-            assert (v in mate) or dualvar[v] == 0
-        for b in blossomdual:
-            if blossomdual[b] > 0:
-                assert len(b.edges) % 2 == 1
-                for u, v in b.edges[1::2]:
-                    assert mate[u] == v and mate[v] == u
-
     while 1:
         # stage: grow alternating trees until one augmentation succeeds
         label.clear()
@@ -603,7 +607,7 @@ def _maximum_weight_mates(num_vertices, edges):
             if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
-    verify_optimum()
+    _verify_optimum(edges, mate, dualvar, blossomdual, blossomparent)
     # the recursive helpers reach themselves through closure cells; unlink
     # them so the solver state is freed now, not at some later GC pass
     del assign_label, expand_blossom, augment_blossom

@@ -69,9 +69,6 @@ class BarChart:
     def is_nonincreasing(self) -> bool:
         return self.a >= self.b
 
-    def is_nondecreasing(self) -> bool:
-        return self.a <= self.b
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -86,9 +83,6 @@ class Instance:
 
     def all_big(self) -> bool:
         return all(c.is_big(self.denominator) for c in self.charts)
-
-    def all_nonincreasing(self) -> bool:
-        return all(c.is_nonincreasing() for c in self.charts)
 
     def total_mass(self) -> int:
         """Sum of all bar heights, as a numerator over the denominator."""
@@ -145,6 +139,14 @@ def occupancy(inst: Instance, packing: Packing) -> tuple[int, ...]:
     return tuple(cells)
 
 
+def checked_occupancy(inst: Instance, packing: Packing) -> tuple[int, ...]:
+    """occupancy(), raising InfeasiblePacking when a cell is overloaded."""
+    cells = occupancy(inst, packing)
+    if max(cells) > inst.denominator:
+        raise InfeasiblePacking("a cell's bars sum above the strip height")
+    return cells
+
+
 def is_feasible(inst: Instance, packing: Packing) -> bool:
     """True iff every cell's load is at most the strip height (exactly)."""
     return all(load <= inst.denominator for load in occupancy(inst, packing))
@@ -152,10 +154,7 @@ def is_feasible(inst: Instance, packing: Packing) -> bool:
 
 def length(inst: Instance, packing: Packing) -> int:
     """Number of cells containing at least one bar."""
-    cells = occupancy(inst, packing)
-    if any(load > inst.denominator for load in cells):
-        raise InfeasiblePacking("cannot take the length of an infeasible packing")
-    return sum(1 for load in cells if load > 0)
+    return sum(1 for load in checked_occupancy(inst, packing) if load > 0)
 
 
 def compact(inst: Instance, packing: Packing) -> Packing:
@@ -165,9 +164,7 @@ def compact(inst: Instance, packing: Packing) -> Packing:
     no chart spans an empty cell: collapsing the empty cells in one pass
     preserves which bars share a cell.
     """
-    cells = occupancy(inst, packing)
-    if any(load > inst.denominator for load in cells):
-        raise InfeasiblePacking("cannot compact an infeasible packing")
+    cells = checked_occupancy(inst, packing)
     empties_below = [0] * (len(cells) + 1)
     running = 0
     for j, load in enumerate(cells, start=1):

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import colorsys
 
-from .errors import InfeasiblePacking
-from .model import Instance, Packing, occupancy
+from .model import Instance, Packing, checked_occupancy
 
 CELL_W = 56
 STRIP_H = 168
@@ -27,9 +26,7 @@ def _color(chart_id: int) -> str:
 
 
 def render_svg(inst: Instance, packing: Packing) -> str:
-    cells = occupancy(inst, packing)
-    if any(load > inst.denominator for load in cells):
-        raise InfeasiblePacking("refusing to render an infeasible packing")
+    cells = checked_occupancy(inst, packing)
     ncells = len(cells)
     width = 2 * MARGIN + ncells * CELL_W
     height = 2 * MARGIN + STRIP_H + LABEL_H

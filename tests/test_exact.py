@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from barpack.errors import JmaxTooSmall, NotBigInstance
+from barpack.errors import InfeasiblePacking, JmaxTooSmall, NotBigInstance
 from barpack.exact import (
     disassemble,
     export_blp,
@@ -100,16 +100,6 @@ class TestSolveExact:
             for packer in (pack_matching, pack_weighted_matching, pack_first_fit):
                 assert res.opt_length <= packer(inst).length
 
-    def test_upper_below_lower_bound_rejected(self):
-        inst = gen_tight_family(1, 100)
-        with pytest.raises(ValueError):
-            solve_exact(inst, upper=3)
-
-    def test_upper_caps_the_search_without_losing_optimum(self):
-        inst = gen_tight_family(1, 100)
-        res = solve_exact(inst, upper=5)
-        assert res.proven and res.opt_length == 5
-
     def test_budget_exhaustion_is_soft(self):
         inst = gen_tight_family(2, 100)  # heuristic sits above the optimum
         full = solve_exact(inst)
@@ -158,6 +148,11 @@ class TestDisassemble:
         inst = validate_instance([(0.5, 0.5)], 10)
         with pytest.raises(NotBigInstance):
             disassemble(inst, Packing((1,)))
+
+    def test_rejects_infeasible(self):
+        inst = validate_instance([(0.7, 0.3), (0.35, 0.65)], 100)
+        with pytest.raises(InfeasiblePacking):
+            disassemble(inst, Packing((1, 1)))
 
     def test_telescoping_on_random_big_packings(self):
         rng = random.Random(9)

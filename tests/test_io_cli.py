@@ -1,7 +1,9 @@
 """Serialization round-trips, the CLI surface, rendering, and reports."""
 
+import io
 import json
 import os
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -254,9 +256,44 @@ class TestCli:
         assert main(["solve", str(garbled), "--algo", "m"]) == 2
         assert main(["gen", "--family", "big", "--out", str(tmp_path / "x.json")]) == 2
 
-    def test_force_first_requires_mw(self, tight_instance_file):
+    def test_force_first_requires_mw(self, tight_instance_file, capsys):
         assert main(["solve", str(tight_instance_file), "--algo", "m",
                      "--force-first", "g-r"]) == 2
+        assert main(["compare", str(tight_instance_file), "--algos", "m,ff",
+                     "--force-first", "g-r"]) == 2
+        outerr = capsys.readouterr()
+        assert outerr.out == "" and outerr.err.count("--force-first") == 2
+
+    def test_compare_forced_pairing_error_is_a_row(self, tight_instance_file, tmp_path,
+                                                   capsys):
+        odd = tmp_path / "odd.json"
+        assert main(["gen", "--family", "big", "--n", "5", "--out", str(odd)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(odd), str(tight_instance_file), "--algos", "m,mw",
+                     "--force-first", "g-r"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert rows[0].startswith("odd.json,5,m,") and rows[0].endswith(",ok")
+        assert rows[1].startswith("odd.json,5,mw,,") and "even chart count" in rows[1]
+        assert rows[2].startswith("tight1.json,4,m,") and rows[2].endswith(",ok")
+        assert rows[3].startswith("tight1.json,4,mw-forced,6,") and rows[3].endswith(",ok")
+
+    def test_compare_rejects_malformed_pairing_up_front(self, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr("barpack.cli._compare_worker", ran.append)
+        monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        assert main(["compare", "--family", "tight", "--k", "1", "--denominator", "100",
+                     "--algos", "mw", "--force-first", "0-x"]) == 2
+        assert ran == [] and capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", [["solve", "{inst}", "--algo", "exact"],
+                                         ["compare", "{inst}", "--oracle"]],
+                             ids=["solve", "compare"])
+    def test_negative_budget_exits_two(self, command, tight_instance_file, capsys):
+        argv = [arg.format(inst=tight_instance_file) for arg in command]
+        assert main([*argv, "--budget", "-3"]) == 2
+        outerr = capsys.readouterr()
+        assert outerr.out == "" and "--budget -3" in outerr.err
+        assert main([*argv, "--budget", "0"]) == 0  # zero: no search, nothing proven
 
 
 MALFORMED_INSTANCES = [
@@ -330,14 +367,17 @@ class TestInvariantExitCode:
         real_length = packers.length
         monkeypatch.setattr(packers, "length", lambda inst, p: real_length(inst, p) + 1)
         assert main(["solve", str(tight_instance_file), "--algo", "m"]) == 3
-        assert "internal invariant violation" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("barpack: internal invariant violation: realized length ")
+        assert err.rstrip().endswith("is not 2n - savings")
 
     @pytest.mark.parametrize("patch", [
-        ("length", lambda real: lambda inst, p: real(inst, p) + 1),
-        ("is_feasible", lambda real: lambda inst, p: False),
+        ("length", lambda real: lambda inst, p: real(inst, p) + 1, "m reported length"),
+        ("is_feasible", lambda real: lambda inst, p: False,
+         "m returned an infeasible packing"),
     ], ids=["length", "is_feasible"])
     def test_report_checks_raise_and_exit_three(self, patch, monkeypatch, capsys):
-        name, make = patch
+        name, make, message = patch
         monkeypatch.setattr(report, name, make(getattr(report, name)))
         inst = gen_tight_family(1, 100)
         result = pack_weighted_matching(inst)
@@ -346,7 +386,8 @@ class TestInvariantExitCode:
         monkeypatch.delenv("BARPACK_THREADS", raising=False)
         # compare's worker catches BarpackError only; the violation passes it
         assert main(["compare", "--family", "big", "--n", "4", "--algos", "m"]) == 3
-        assert "internal invariant violation" in capsys.readouterr().err
+        assert (f"barpack: internal invariant violation: {message}"
+                in capsys.readouterr().err)
 
     def test_invariant_violation_is_not_an_input_error(self):
         assert issubclass(InvariantViolation, AssertionError)
@@ -376,3 +417,113 @@ class TestWorkerCount:
         assert main(["compare", "--family", "big", "--n", "4", "--count", "2",
                      "--algos", "m"]) == 2
         assert "BARPACK_THREADS" in capsys.readouterr().err
+
+
+def _golden_instance(name, tmp_path):
+    family = {"tight2": ["--family", "tight", "--k", "2", "--denominator", "100"],
+              "big7": ["--family", "big", "--n", "7"]}[name]
+    path = tmp_path / f"{name}.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["gen", *family, "--out", str(path)]) == 0
+    return path
+
+
+def _golden_run(argv, out):
+    """(exit code, stdout, text written to out) of one CLI call."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main([*argv, "--out", str(out)])
+    return code, buf.getvalue(), out.read_text()
+
+
+def _golden_solve(case, tmp_path):
+    name, *args = case.split()
+    return _golden_run(["solve", str(_golden_instance(name, tmp_path)), *args],
+                       tmp_path / "result.json")
+
+
+def _golden_compare(case, tmp_path):
+    return _golden_run(["compare", *case.split()], tmp_path / "report.csv")
+
+
+# CLI bytes recorded before solve and compare shared one algorithm table:
+# (exit code, stdout, result JSON) per solve run and (exit code, stdout,
+# CSV file) per compare sweep.
+GOLDEN_SOLVE = {
+    'tight2 --algo m': (
+        0,
+        'algo=m n=8 L=12 rounds=1\n',
+        '{"length":12,"starts":[1,4,7,10,11,8,5,2],"trace":[{"m":4,"w":4,"s":4}]}'),
+    'tight2 --algo mw': (
+        0,
+        'algo=mw n=8 L=12 rounds=1\n',
+        '{"length":12,"starts":[1,4,7,10,11,8,5,2],"trace":[{"m":4,"w":4,"s":4}]}'),
+    'tight2 --algo ff': (
+        0,
+        'algo=ff n=8 L=9 rounds=0\n',
+        '{"length":9,"starts":[1,2,3,4,5,6,7,8],"trace":[]}'),
+    'tight2 --algo exact': (
+        0,
+        'algo=exact n=8 L=9 rounds=0 proven=true\n',
+        '{"length":9,"starts":[1,2,3,4,5,6,7,8],"trace":[],"proven":true}'),
+    'big7 --algo m': (
+        0,
+        'algo=m n=7 L=10 rounds=2\n',
+        '{"length":10,"starts":[1,2,3,9,5,8,6],"trace":[{"m":3,"w":3,"s":3},{"m":1,"w":1,'
+        '"s":1}]}'),
+    'big7 --algo mw': (
+        0,
+        'algo=mw n=7 L=10 rounds=2\n',
+        '{"length":10,"starts":[1,2,3,9,5,8,6],"trace":[{"m":3,"w":3,"s":3},{"m":1,"w":1,'
+        '"s":1}]}'),
+    'big7 --algo ff': (
+        0,
+        'algo=ff n=7 L=11 rounds=0\n',
+        '{"length":11,"starts":[1,2,3,5,7,8,10],"trace":[]}'),
+    'big7 --algo exact': (
+        0,
+        'algo=exact n=7 L=10 rounds=0 proven=true\n',
+        '{"length":10,"starts":[1,2,3,9,5,8,6],"trace":[],"proven":true}'),
+    'tight2 --algo mw --force-first g-r': (
+        0,
+        'algo=mw n=8 L=12 rounds=1\n',
+        '{"length":12,"starts":[1,4,7,10,2,5,8,11],"trace":[{"m":4,"w":4,"s":4}]}'),
+}
+
+GOLDEN_COMPARE = {
+    '--family big --n 7 --count 3 --algos m,mw,ff --oracle': (
+        0,
+        'algo=ff max_ratio=1.182\n'
+        'algo=m max_ratio=1.000\n'
+        'algo=mw max_ratio=1.000\n',
+        '# barpack report v1\n'
+        'instance,n,algo,L,m1,w1,opt,lb,ratio,fx,gx,status\n'
+        'big-7-s0,7,m,10,3,3,10,9,1.000,1.467,1.571,ok\n'
+        'big-7-s0,7,mw,10,3,3,10,9,1.000,1.467,1.571,ok\n'
+        'big-7-s0,7,ff,11,,,10,9,1.100,,,ok\n'
+        'big-7-s1,7,m,11,3,3,11,9,1.000,1.467,1.571,ok\n'
+        'big-7-s1,7,mw,11,3,3,11,9,1.000,1.467,1.571,ok\n'
+        'big-7-s1,7,ff,13,,,11,9,1.182,,,ok\n'
+        'big-7-s2,7,m,11,3,3,11,9,1.000,1.467,1.571,ok\n'
+        'big-7-s2,7,mw,11,2,3,11,9,1.000,1.467,1.571,ok\n'
+        'big-7-s2,7,ff,11,,,11,9,1.000,,,ok\n'),
+    '--family tight --k 2 --denominator 100 --algos m,mw --force-first g-r --oracle': (
+        0,
+        'algo=m max_ratio=1.333\n'
+        'algo=mw-forced max_ratio=1.333\n',
+        '# barpack report v1\n'
+        'instance,n,algo,L,m1,w1,opt,lb,ratio,fx,gx,status\n'
+        'tight-2-s0,8,m,12,4,4,9,8,1.333,1.500,1.500,ok\n'
+        'tight-2-s0,8,mw-forced,12,4,4,9,8,1.333,1.500,1.500,ok\n'),
+}
+
+
+class TestGoldenCli:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SOLVE))
+    def test_solve_bytes_unchanged(self, case, tmp_path):
+        assert _golden_solve(case, tmp_path) == GOLDEN_SOLVE[case]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_COMPARE))
+    def test_compare_bytes_unchanged(self, case, tmp_path, monkeypatch):
+        monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        assert _golden_compare(case, tmp_path) == GOLDEN_COMPARE[case]

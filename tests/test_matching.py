@@ -1,13 +1,21 @@
 """Matching engine: examples, structural validity, oracle equivalence."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from barpack.errors import TooLarge
+import barpack
+from barpack import matching
+from barpack.errors import InvariantViolation, TooLarge
 from barpack.matching import (
     Graph,
+    _Blossom,
+    _verify_optimum,
     brute_force_matching,
     is_valid_matching,
     matching_pairs,
@@ -81,6 +89,65 @@ class TestMaxWeight:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# _verify_optimum reads doubled duals: dual 1 on both ends makes a weight-1
+# edge tight. The path 0-1-2-3 has the perfect matching {0-1, 2-3}.
+PATH = ((0, 1, 1), (1, 2, 1), (2, 3, 1))
+UNNESTED = dict.fromkeys(range(4))
+PERFECT = {0: 1, 1: 0, 2: 3, 3: 2}
+
+
+def triangle_blossom(edges):
+    """Triangle 0-1-2 inside one blossom of dual 1, with 0-1 matched."""
+    b = _Blossom()
+    b.childs, b.edges = [0, 1, 2], edges
+    return ([(0, 1, 1), (1, 2, 1), (0, 2, 1)], {0: 1, 1: 0},
+            dict.fromkeys(range(3), 0), {b: 1}, {0: b, 1: b, 2: b, b: None})
+
+
+class TestVerifyOptimum:
+    def test_accepts_an_optimum(self):
+        _verify_optimum(PATH, PERFECT, dict.fromkeys(range(4), 1), {}, UNNESTED)
+        _verify_optimum(*triangle_blossom([(2, 0), (0, 1), (1, 2)]))
+
+    @pytest.mark.parametrize("mate, duals, message", [
+        ({1: 2, 2: 1}, (1, 1, 1, 1), "free vertex 0"),  # not a maximum matching
+        (PERFECT, (0, 0, 0, 0), "negative slack"),
+        (PERFECT, (-1, 3, 1, 1), "negative dual"),
+        ({0: 1, 2: 3, 3: 2}, (1, 1, 1, 1), "one-sided"),
+        ({0: 1, 1: 0, 2: 3, 3: 2}, (2, 1, 1, 1), "not tight"),
+    ])
+    def test_rejects_a_non_optimum(self, mate, duals, message):
+        with pytest.raises(InvariantViolation, match=message):
+            _verify_optimum(PATH, mate, dict(enumerate(duals)), {}, UNNESTED)
+
+    def test_rejects_a_blossom_that_is_not_full(self):
+        with pytest.raises(InvariantViolation, match="blossom"):
+            _verify_optimum(*triangle_blossom([(0, 1), (1, 2), (2, 0)]))
+
+    def test_runs_on_every_solve(self, monkeypatch):
+        def refuse(*args):
+            raise InvariantViolation("checked")
+        monkeypatch.setattr(matching, "_verify_optimum", refuse)
+        for solve in (max_weight_matching, max_cardinality_matching):
+            with pytest.raises(InvariantViolation, match="checked"):
+                solve(graph(4, *PATH))
+
+    def test_survives_python_O(self):
+        code = "\n".join([
+            "from barpack.errors import InvariantViolation",
+            "from barpack.matching import _verify_optimum",
+            "try:",
+            "    _verify_optimum(((0, 1, 1), (1, 2, 1), (2, 3, 1)), {1: 2, 2: 1},",
+            "                    dict.fromkeys(range(4), 1), {}, dict.fromkeys(range(4)))",
+            "except InvariantViolation:",
+            "    print('raised')",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(barpack.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.stdout.strip() == "raised", run.stderr
 
 
 class TestBruteForce:

@@ -18,6 +18,7 @@ from barpack.model import (
     BarChart,
     Instance,
     Packing,
+    checked_occupancy,
     compact,
     height_numerator,
     is_feasible,
@@ -137,6 +138,12 @@ class TestFeasibilityAndLength:
         inst = validate_instance([(0.7, 0.3), (0.35, 0.65)], 100)
         with pytest.raises(InfeasiblePacking):
             length(inst, pk(1, 1))
+
+    def test_checked_occupancy(self):
+        inst = validate_instance([(0.4, 0.6), (0.6, 0.4)], 10)
+        assert checked_occupancy(inst, pk(1, 1)) == occupancy(inst, pk(1, 1)) == (10, 10)
+        with pytest.raises(InfeasiblePacking):
+            checked_occupancy(inst, pk(1, 2))
 
 
 class TestCompact:
