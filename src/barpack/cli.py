@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", required=True, choices=(*PACKERS, "exact"))
     p_solve.add_argument("--force-first", default=None,
                          help='first-round pairing for --algo mw: "g-r" or "0-2,1-3"')
-    p_solve.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    p_solve.add_argument("--budget", type=int, default=None,
                          help="node budget for --algo exact")
     p_solve.add_argument("--out", default=None, help="result JSON path")
     p_solve.set_defaults(func=_cmd_solve)
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"comma list from {','.join(PACKERS)}")
     p_cmp.add_argument("--force-first", default=None)
     p_cmp.add_argument("--oracle", action="store_true", help="add exact OPT per instance")
-    p_cmp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p_cmp.add_argument("--budget", type=int, default=None, help="node budget for --oracle")
     p_cmp.add_argument("--out", default=None, help="CSV path (appends if present)")
     p_cmp.set_defaults(func=_cmd_compare)
 
@@ -113,22 +113,26 @@ def _load_instance(path: str) -> Instance:
     return instance_from_json(Path(path).read_text())
 
 
-def _run_options(args, algos):
+def _run_options(args, algos, exact: bool):
     """Check --budget and --force-first before any instance runs; returns
-    the forced pairing: None, "g-r" or a list of (id, id) pairs."""
-    if args.budget < 0:
-        raise BarpackError(f"--budget {args.budget} must be at least 0")
+    the node budget of the exact search and the forced pairing: None,
+    "g-r" or a list of (id, id) pairs."""
+    if args.budget is not None and not exact:
+        raise BarpackError("--budget only applies to solve --algo exact and compare --oracle")
+    budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
+    if budget < 0:
+        raise BarpackError(f"--budget {budget} must be at least 0")
     if args.force_first is None:
-        return None
+        return budget, None
     if "mw" not in algos:
         raise BarpackError("--force-first only applies to the mw algorithm")
     if args.force_first == "g-r":
-        return "g-r"
+        return budget, "g-r"
     pairs = []
     for part in args.force_first.split(","):
         left, _, right = part.partition("-")
         pairs.append((int(left), int(right)))
-    return pairs
+    return budget, pairs
 
 
 def _run_packer(algo: str, inst: Instance, forced) -> tuple[str, PackResult]:
@@ -157,11 +161,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    forced = _run_options(args, (args.algo,))
+    budget, forced = _run_options(args, (args.algo,), args.algo == "exact")
     inst = _load_instance(args.instance)
     extra, tail = None, ""
     if args.algo == "exact":
-        res = solve_exact(inst, budget=args.budget)
+        res = solve_exact(inst, budget=budget)
         result = PackResult(res.packing, RunTrace(inst.n, (), inst.n), res.opt_length)
         extra, tail = {"proven": res.proven}, f" proven={json.dumps(res.proven)}"
     else:
@@ -176,8 +180,10 @@ def _cmd_solve(args) -> int:
 def _compare_worker(payload) -> list[ReportRow]:
     name, inst_json, algos, forced, oracle, budget = payload
     try:
+        if isinstance(inst_json, OSError):  # the file could not be read
+            raise inst_json
         inst = instance_from_json(inst_json)
-    except (BarpackError, ValueError) as exc:  # ValueError: not JSON at all
+    except (BarpackError, ValueError, OSError) as exc:  # ValueError: not JSON at all
         return [ReportRow(name, 0, "-", None, None, None, None, None,
                           status=f"error: {exc}")]
     lb = lower_bound(inst)
@@ -221,22 +227,22 @@ def _cmd_compare(args) -> int:
     for a in algos:
         if a not in PACKERS:
             raise BarpackError(f"unknown algo {a!r} (compare accepts {', '.join(PACKERS)})")
-    forced = _run_options(args, algos)
+    budget, forced = _run_options(args, algos, args.oracle)
 
     payloads = []
     for path in args.instances:
         try:
             text = Path(path).read_text()
         except OSError as exc:
-            text = f"unreadable: {exc}"  # parses as junk -> error row
-        payloads.append((Path(path).name, text, algos, forced, args.oracle, args.budget))
+            text = exc  # becomes this file's error row
+        payloads.append((Path(path).name, text, algos, forced, args.oracle, budget))
     if args.family:
         size = _family_size(args)
         for seed in range(args.seed0, args.seed0 + args.count):
             spec = GenSpec(args.family, size, seed, args.denominator)
             name = f"{args.family}-{size}-s{seed}"
             payloads.append((name, instance_to_json(generate(spec)), algos,
-                             forced, args.oracle, args.budget))
+                             forced, args.oracle, budget))
 
     threads = _worker_count(os.environ.get("BARPACK_THREADS"), len(payloads),
                             os.cpu_count())

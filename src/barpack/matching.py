@@ -38,7 +38,15 @@ class Matching:
 
 
 def validate_graph(g: Graph) -> None:
-    seen = set()
+    _index(g)
+
+
+def _index(g: Graph, unit: bool = False):
+    """Check every edge and index it in the same pass: the symmetric weight
+    map (weight 1 throughout if unit) and each vertex's neighbours in edge
+    order. The map itself catches duplicates."""
+    weight = {}
+    neighbors = {v: [] for v in range(g.num_vertices)}
     for u, v, w in g.edges:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
@@ -46,10 +54,12 @@ def validate_graph(g: Graph) -> None:
             raise ValueError(f"edge ({u}, {v}) out of vertex range")
         if not isinstance(w, int) or w < 0:
             raise ValueError(f"edge ({u}, {v}) weight {w!r} must be a non-negative integer")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge {key}")
-        seen.add(key)
+        if (u, v) in weight:
+            raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
+        weight[(u, v)] = weight[(v, u)] = 1 if unit else w
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return weight, neighbors
 
 
 def matching_pairs(g: Graph, m: Matching) -> tuple[tuple[int, int], ...]:
@@ -73,22 +83,13 @@ def is_valid_matching(g: Graph, m: Matching) -> bool:
 def max_weight_matching(g: Graph) -> Matching:
     """A matching of maximum total weight (not necessarily of maximum
     cardinality). Deterministic for a fixed edge input order."""
-    validate_graph(g)
-    mate = _maximum_weight_mates(g.num_vertices, g.edges)
-    indices = frozenset(
-        i for i, (u, v, _) in enumerate(g.edges) if mate.get(u) == v)
-    return Matching(indices)
+    return _blossom_matching(g, unit=False)
 
 
 def max_cardinality_matching(g: Graph) -> Matching:
     """A matching of maximum cardinality (blossom-based, exact on general
     graphs). Runs the weighted solver on unit weights."""
-    validate_graph(g)
-    unit = tuple((u, v, 1) for u, v, _ in g.edges)
-    mate = _maximum_weight_mates(g.num_vertices, unit)
-    indices = frozenset(
-        i for i, (u, v, _) in enumerate(g.edges) if mate.get(u) == v)
-    return Matching(indices)
+    return _blossom_matching(g, unit=True)
 
 
 def brute_force_matching(g: Graph, objective: str = "weight") -> Matching:
@@ -133,10 +134,6 @@ def brute_force_matching(g: Graph, objective: str = "weight") -> Matching:
     return Matching(frozenset(best))
 
 
-class _NoNode:
-    """Sentinel distinct from every vertex."""
-
-
 class _Blossom:
     """A non-trivial blossom: odd alternating cycle over sub-blossoms."""
 
@@ -152,14 +149,31 @@ class _Blossom:
                 yield t
 
 
-def _verify_optimum(edges, mate, dualvar, blossomdual, blossomparent):
-    """Prove mate optimal by complementary slackness against the final
-    (doubled) duals; integer-exact. Raises InvariantViolation rather than
-    asserting, so the proof also runs under python -O."""
+def _walk_start(b, child):
+    """Start index and step of the even-length walk from b's child to its base:
+    forward from an odd index (made negative, so it wraps to 0), else backward."""
+    j = b.childs.index(child)
+    if j & 1:
+        return j - len(b.childs), 1
+    return j, -1
+
+
+def _walk_edge(b, j, jstep):
+    """The edge from child j to child j + jstep, oriented from child j."""
+    if jstep == 1:
+        return b.edges[j]
+    q, p = b.edges[j - 1]
+    return p, q
+
+
+def _verify_optimum(edges, weight, mate, dualvar, blossomdual, blossomparent):
+    """Prove mate optimal by complementary slackness against the final (doubled)
+    duals and the solver's weight map; integer-exact. Raises InvariantViolation,
+    not an assert, so the proof also runs under python -O."""
     if min(dualvar.values()) < 0 or min(blossomdual.values(), default=0) < 0:
         raise InvariantViolation("matching solver left a negative dual")
-    for u, v, w in edges:
-        s = dualvar[u] + dualvar[v] - 2 * w
+    for u, v, _ in edges:
+        s = dualvar[u] + dualvar[v] - 2 * weight[(u, v)]
         ublossoms = [u]
         vblossoms = [v]
         while blossomparent[ublossoms[-1]] is not None:
@@ -186,8 +200,8 @@ def _verify_optimum(edges, mate, dualvar, blossomdual, blossomparent):
             raise InvariantViolation("a blossom with positive dual is not full")
 
 
-def _maximum_weight_mates(num_vertices, edges):
-    """Core solver; returns the symmetric mate dict of an optimum matching.
+def _blossom_matching(g: Graph, unit: bool) -> Matching:
+    """Core solver: an optimum matching of g by edge id, over unit weights if unit.
 
     State follows the standard formulation: vertices are labeled S (1) or
     T (2) while alternating trees are grown from free vertices; tight edges
@@ -195,18 +209,12 @@ def _maximum_weight_mates(num_vertices, edges):
     path; when no tight edge is available, the dual variables are adjusted
     by the smallest of the four classic deltas.
     """
-    if num_vertices == 0 or not edges:
-        return {}
+    weight, neighbors = _index(g, unit)
+    if not weight:
+        return Matching(frozenset())
 
-    weight = {}
-    neighbors = {v: [] for v in range(num_vertices)}
-    for u, v, w in edges:
-        weight[(u, v)] = weight[(v, u)] = w
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-
-    gnodes = list(range(num_vertices))
-    maxweight = max(w for _, _, w in edges)
+    gnodes = list(range(g.num_vertices))
+    maxweight = max(weight.values())
 
     mate = {}
     label = {}
@@ -229,10 +237,7 @@ def _maximum_weight_mates(num_vertices, edges):
         b = inblossom[w]
         assert label.get(w) is None and label.get(b) is None
         label[w] = label[b] = t
-        if v is not None:
-            labeledge[w] = labeledge[b] = (v, w)
-        else:
-            labeledge[w] = labeledge[b] = None
+        labeledge[w] = labeledge[b] = None if v is None else (v, w)
         bestedge[w] = bestedge[b] = None
         if t == 1:
             # S-blossom: its vertices join the scan queue
@@ -247,10 +252,10 @@ def _maximum_weight_mates(num_vertices, edges):
 
     def scan_blossom(v, w):
         # trace back from v and w; returns the base of a new blossom, or
-        # _NoNode when the paths reach two different roots (augmenting path)
+        # None when the paths reach two different roots (augmenting path)
         path = []
-        base = _NoNode
-        while v is not _NoNode:
+        base = None
+        while v is not None:
             b = inblossom[v]
             if label[b] & 4:
                 base = blossombase[b]
@@ -260,14 +265,14 @@ def _maximum_weight_mates(num_vertices, edges):
             label[b] = 5
             if labeledge[b] is None:
                 assert blossombase[b] not in mate
-                v = _NoNode
+                v = None
             else:
                 assert labeledge[b][0] == mate[blossombase[b]]
                 v = labeledge[b][0]
                 b = inblossom[v]
                 assert label[b] == 2
                 v = labeledge[b][0]
-            if w is not _NoNode:
+            if w is not None:
                 v, w = w, v
         for b in path:
             label[b] = 1
@@ -321,11 +326,9 @@ def _maximum_weight_mates(num_vertices, edges):
                     nblist = bv.mybestedges
                     bv.mybestedges = None
                 else:
-                    nblist = [(v, w)
-                              for v in bv.leaves()
-                              for w in neighbors[v] if v != w]
+                    nblist = [(v, w) for v in bv.leaves() for w in neighbors[v]]
             else:
-                nblist = [(bv, w) for w in neighbors[bv] if bv != w]
+                nblist = [(bv, w) for w in neighbors[bv]]
             for k in nblist:
                 (i, j) = k
                 if inblossom[j] == b:
@@ -337,15 +340,7 @@ def _maximum_weight_mates(num_vertices, edges):
                     bestedgeto[bj] = k
             bestedge[bv] = None
         b.mybestedges = list(bestedgeto.values())
-        mybestedge = None
-        mybestslack = None
-        bestedge[b] = None
-        for k in b.mybestedges:
-            kslack = slack(*k)
-            if mybestedge is None or kslack < mybestslack:
-                mybestedge = k
-                mybestslack = kslack
-        bestedge[b] = mybestedge
+        bestedge[b] = min(b.mybestedges, key=lambda k: slack(*k), default=None)
 
     def expand_blossom(b, endstage):
         # recursion depth is bounded by blossom nesting, itself < n/2
@@ -362,29 +357,17 @@ def _maximum_weight_mates(num_vertices, edges):
         # a T-blossom expanded mid-stage must relabel its children
         if (not endstage) and label.get(b) == 2:
             entrychild = inblossom[labeledge[b][1]]
-            j = b.childs.index(entrychild)
-            if j & 1:
-                # odd entry index: walk forward with wraparound
-                j -= len(b.childs)
-                jstep = 1
-            else:
-                jstep = -1
+            j, jstep = _walk_start(b, entrychild)
             v, w = labeledge[b]
             while j != 0:
                 # relabel the T-sub-blossom on the way to the base
-                if jstep == 1:
-                    p, q = b.edges[j]
-                else:
-                    q, p = b.edges[j - 1]
+                p, q = _walk_edge(b, j, jstep)
                 label[w] = None
                 label[q] = None
                 assign_label(w, 2, v)
                 allowedge[(p, q)] = allowedge[(q, p)] = True
                 j += jstep
-                if jstep == 1:
-                    v, w = b.edges[j]
-                else:
-                    w, v = b.edges[j - 1]
+                v, w = _walk_edge(b, j, jstep)
                 allowedge[(v, w)] = allowedge[(w, v)] = True
                 j += jstep
             # the base keeps label T without stepping to its mate
@@ -426,19 +409,12 @@ def _maximum_weight_mates(num_vertices, edges):
             t = blossomparent[t]
         if isinstance(t, _Blossom):
             augment_blossom(t, v)
-        i = j = b.childs.index(t)
-        if i & 1:
-            j -= len(b.childs)
-            jstep = 1
-        else:
-            jstep = -1
+        i, jstep = _walk_start(b, t)
+        j = i
         while j != 0:
             j += jstep
             t = b.childs[j]
-            if jstep == 1:
-                w, x = b.edges[j]
-            else:
-                x, w = b.edges[j - 1]
+            w, x = _walk_edge(b, j, jstep)
             if isinstance(t, _Blossom):
                 augment_blossom(t, w)
             j += jstep
@@ -447,7 +423,8 @@ def _maximum_weight_mates(num_vertices, edges):
                 augment_blossom(t, x)
             mate[w] = x
             mate[x] = w
-        # rotate children so the new base comes first
+        # rotate children so the new base comes first (a negative i, from
+        # a forward walk, slices the same rotation)
         b.childs = b.childs[i:] + b.childs[:i]
         b.edges = b.edges[i:] + b.edges[:i]
         blossombase[b] = blossombase[b.childs[0]]
@@ -495,8 +472,6 @@ def _maximum_weight_mates(num_vertices, edges):
                 v = queue.pop()
                 assert label[inblossom[v]] == 1
                 for w in neighbors[v]:
-                    if w == v:
-                        continue
                     bv = inblossom[v]
                     bw = inblossom[w]
                     if bv == bw:
@@ -512,7 +487,7 @@ def _maximum_weight_mates(num_vertices, edges):
                         elif label.get(bw) == 1:
                             # S-S edge: new blossom or augmenting path
                             base = scan_blossom(v, w)
-                            if base is not _NoNode:
+                            if base is not None:
                                 add_blossom(base, v, w)
                             else:
                                 augment_matching(v, w)
@@ -581,18 +556,14 @@ def _maximum_weight_mates(num_vertices, edges):
 
             if deltatype == 1:
                 break
-            elif deltatype == 2:
-                (v, w) = deltaedge
-                assert label[inblossom[v]] == 1
-                allowedge[(v, w)] = allowedge[(w, v)] = True
-                queue.append(v)
-            elif deltatype == 3:
-                (v, w) = deltaedge
-                allowedge[(v, w)] = allowedge[(w, v)] = True
-                assert label[inblossom[v]] == 1
-                queue.append(v)
-            else:
+            elif deltatype == 4:
                 expand_blossom(deltablossom, False)
+            else:
+                # delta 2 or 3: the least-slack edge from an S-vertex is tight now
+                (v, w) = deltaedge
+                assert label[inblossom[v]] == 1
+                allowedge[(v, w)] = allowedge[(w, v)] = True
+                queue.append(v)
 
         for v in mate:
             assert mate[mate[v]] == v
@@ -600,15 +571,15 @@ def _maximum_weight_mates(num_vertices, edges):
         if not augmented:
             break
 
-        # discard S-blossoms whose dual dropped to zero
-        for b in list(blossomdual.keys()):
-            if b not in blossomdual:
-                continue
+        # discard S-blossoms whose dual dropped to zero; a child precedes
+        # its parent here, so no blossom is deleted before its turn
+        for b in list(blossomdual):
             if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
-    _verify_optimum(edges, mate, dualvar, blossomdual, blossomparent)
+    _verify_optimum(g.edges, weight, mate, dualvar, blossomdual, blossomparent)
     # the recursive helpers reach themselves through closure cells; unlink
     # them so the solver state is freed now, not at some later GC pass
     del assign_label, expand_blossom, augment_blossom
-    return mate
+    return Matching(frozenset(
+        i for i, (u, v, _) in enumerate(g.edges) if mate.get(u) == v))

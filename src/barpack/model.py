@@ -10,6 +10,7 @@ they are snapped to the 1/D grid or rejected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,19 +35,24 @@ def height_numerator(value, denominator: int) -> int:
     numerator over ``denominator``.
 
     Raises NonRepresentable when the value is not an integer multiple of
-    1/denominator, and HeightOutOfRange when it falls outside (0, 1].
+    1/denominator (bools, NaN, infinities and non-numbers included), and
+    HeightOutOfRange when it falls outside (0, 1].
     """
+    if isinstance(value, bool):
+        raise NonRepresentable(f"{value!r} is a bool, not a height")
     if isinstance(value, float):
         scaled = value * denominator
-        numer = round(scaled)
-        if abs(scaled - numer) > _FLOAT_SNAP_TOL * max(1.0, abs(scaled)):
-            raise NonRepresentable(
-                f"{value!r} is not a multiple of 1/{denominator}")
+        # NaN, infinities and floats too large to scale lie on no grid
+        numer = round(scaled) if math.isfinite(scaled) else None
+        if numer is None or abs(scaled - numer) > _FLOAT_SNAP_TOL * max(1.0, abs(scaled)):
+            raise NonRepresentable(f"{value!r} is not a multiple of 1/{denominator}")
     else:
-        exact = Fraction(value) * denominator
+        try:
+            exact = Fraction(value) * denominator
+        except (TypeError, ValueError, OverflowError):  # None, "nan", Decimal("inf")
+            raise NonRepresentable(f"{value!r} is not a number") from None
         if exact.denominator != 1:
-            raise NonRepresentable(
-                f"{value!r} is not a multiple of 1/{denominator}")
+            raise NonRepresentable(f"{value!r} is not a multiple of 1/{denominator}")
         numer = exact.numerator
     if not 1 <= numer <= denominator:
         raise HeightOutOfRange(

@@ -155,6 +155,16 @@ class TestCli:
         assert payload["length"] == 6
         assert payload["trace"] == [{"m": 2, "w": 2, "s": 2}]
 
+    def test_solve_explicit_forced_pairs(self, tight_instance_file, capsys):
+        assert main(["solve", str(tight_instance_file), "--algo", "mw",
+                     "--force-first", "0-2,1-3"]) == 0
+        assert capsys.readouterr().out.strip() == "algo=mw n=4 L=6 rounds=1"
+        # one pair weighs 1, the maximum-weight first round weighs 2
+        assert main(["solve", str(tight_instance_file), "--algo", "mw",
+                     "--force-first", "0-2"]) == 2
+        outerr = capsys.readouterr()
+        assert outerr.out == "" and "forced matching weighs 1, optimum is 2" in outerr.err
+
     def test_solve_single_chart_every_algo(self, tmp_path, capsys):
         path = tmp_path / "one.json"
         path.write_text(instance_to_json(validate_instance([(0.5, 0.5)], 10)))
@@ -227,6 +237,23 @@ class TestCli:
         assert len(bad_rows) == 1 and "error" in bad_rows[0]
         assert len(good_rows) == 1 and good_rows[0].endswith("ok")
 
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_compare_unreadable_file_row_names_the_os_error(self, tmp_path, capsys,
+                                                            monkeypatch, threads):
+        if threads is None:
+            monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("BARPACK_THREADS", threads)
+        good = tmp_path / "good.json"
+        good.write_text(instance_to_json(gen_general(3, 1)))
+        missing = tmp_path / "missing.json"
+        assert main(["compare", str(missing), str(good), "--algos", "m"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:3]
+        assert rows[1].startswith("good.json,3,m,") and rows[1].endswith(",ok")
+        assert rows[0].startswith("missing.json,0,-,")
+        assert "[Errno 2] No such file or directory" in rows[0]
+        assert str(missing) in rows[0]
+
     def test_parallel_compare_matches_sequential(self, tmp_path):
         seq = tmp_path / "seq.csv"
         par = tmp_path / "par.csv"
@@ -294,6 +321,18 @@ class TestCli:
         outerr = capsys.readouterr()
         assert outerr.out == "" and "--budget -3" in outerr.err
         assert main([*argv, "--budget", "0"]) == 0  # zero: no search, nothing proven
+
+    def test_budget_without_exact_search_exits_two(self, tmp_path, monkeypatch, capsys):
+        # rejected up front: the instance file does not even exist
+        missing = str(tmp_path / "missing.json")
+        assert main(["solve", missing, "--algo", "m", "--budget", "5"]) == 2
+        ran = []
+        monkeypatch.setattr("barpack.cli._compare_worker", ran.append)
+        monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        assert main(["compare", "--family", "big", "--n", "4", "--budget", "5"]) == 2
+        outerr = capsys.readouterr()
+        assert ran == [] and outerr.out == ""
+        assert outerr.err.count("--budget only applies") == 2
 
 
 MALFORMED_INSTANCES = [

@@ -22,6 +22,7 @@ from barpack.matching import (
     matching_weight,
     max_cardinality_matching,
     max_weight_matching,
+    validate_graph,
 )
 
 
@@ -94,6 +95,13 @@ class TestMaxWeight:
 # _verify_optimum reads doubled duals: dual 1 on both ends makes a weight-1
 # edge tight. The path 0-1-2-3 has the perfect matching {0-1, 2-3}.
 PATH = ((0, 1, 1), (1, 2, 1), (2, 3, 1))
+
+
+def weight_map(edges):
+    """The solver's symmetric weight map over edges."""
+    return {k: w for u, v, w in edges for k in ((u, v), (v, u))}
+
+
 UNNESTED = dict.fromkeys(range(4))
 PERFECT = {0: 1, 1: 0, 2: 3, 3: 2}
 
@@ -102,13 +110,15 @@ def triangle_blossom(edges):
     """Triangle 0-1-2 inside one blossom of dual 1, with 0-1 matched."""
     b = _Blossom()
     b.childs, b.edges = [0, 1, 2], edges
-    return ([(0, 1, 1), (1, 2, 1), (0, 2, 1)], {0: 1, 1: 0},
+    triangle = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
+    return (triangle, weight_map(triangle), {0: 1, 1: 0},
             dict.fromkeys(range(3), 0), {b: 1}, {0: b, 1: b, 2: b, b: None})
 
 
 class TestVerifyOptimum:
     def test_accepts_an_optimum(self):
-        _verify_optimum(PATH, PERFECT, dict.fromkeys(range(4), 1), {}, UNNESTED)
+        _verify_optimum(PATH, weight_map(PATH), PERFECT, dict.fromkeys(range(4), 1), {},
+                        UNNESTED)
         _verify_optimum(*triangle_blossom([(2, 0), (0, 1), (1, 2)]))
 
     @pytest.mark.parametrize("mate, duals, message", [
@@ -120,7 +130,8 @@ class TestVerifyOptimum:
     ])
     def test_rejects_a_non_optimum(self, mate, duals, message):
         with pytest.raises(InvariantViolation, match=message):
-            _verify_optimum(PATH, mate, dict(enumerate(duals)), {}, UNNESTED)
+            _verify_optimum(PATH, weight_map(PATH), mate, dict(enumerate(duals)), {},
+                            UNNESTED)
 
     def test_rejects_a_blossom_that_is_not_full(self):
         with pytest.raises(InvariantViolation, match="blossom"):
@@ -139,7 +150,8 @@ class TestVerifyOptimum:
             "from barpack.errors import InvariantViolation",
             "from barpack.matching import _verify_optimum",
             "try:",
-            "    _verify_optimum(((0, 1, 1), (1, 2, 1), (2, 3, 1)), {1: 2, 2: 1},",
+            "    _verify_optimum(((0, 1, 1), (1, 2, 1), (2, 3, 1)),",
+            "                    {(0, 1): 1, (1, 2): 1, (2, 3): 1}, {1: 2, 2: 1},",
             "                    dict.fromkeys(range(4), 1), {}, dict.fromkeys(range(4)))",
             "except InvariantViolation:",
             "    print('raised')",
@@ -173,6 +185,81 @@ class TestBruteForce:
             brute_force_matching(graph(2, (0, 1, 1)), "length")
 
 
+# van Rantwijk's mwmatching test graphs (also in networkx's test suite),
+# with their vertex numbers: vertex 0 is isolated. Each forces a particular
+# blossom operation: relabelling an S-blossom as T, expanding it mid-stage
+# (delta 4), nested augmentation through inner blossoms.
+CLASSIC_GRAPHS = {
+    "s_blossom": (
+        [(1, 2, 8), (1, 3, 9), (2, 3, 10), (3, 4, 7)], {(1, 2), (3, 4)}),
+    "s_blossom_augment": (
+        [(1, 2, 8), (1, 3, 9), (2, 3, 10), (3, 4, 7), (1, 6, 5), (4, 5, 6)],
+        {(1, 6), (2, 3), (4, 5)}),
+    "s_t_blossom": (
+        [(1, 2, 9), (1, 3, 8), (2, 3, 10), (1, 4, 5), (4, 5, 4), (1, 6, 3)],
+        {(1, 6), (2, 3), (4, 5)}),
+    "s_t_blossom_reweighted": (
+        [(1, 2, 9), (1, 3, 8), (2, 3, 10), (1, 4, 5), (4, 5, 3), (1, 6, 4)],
+        {(1, 6), (2, 3), (4, 5)}),
+    "s_t_blossom_moved": (
+        [(1, 2, 9), (1, 3, 8), (2, 3, 10), (1, 4, 5), (4, 5, 3), (3, 6, 4)],
+        {(1, 2), (3, 6), (4, 5)}),
+    "nested_s_blossom": (
+        [(1, 2, 9), (1, 3, 9), (2, 3, 10), (2, 4, 8), (3, 5, 8), (4, 5, 10),
+         (5, 6, 6)],
+        {(1, 3), (2, 4), (5, 6)}),
+    "nested_s_blossom_relabel": (
+        [(1, 2, 10), (1, 7, 10), (2, 3, 12), (3, 4, 20), (3, 5, 20), (4, 5, 25),
+         (5, 6, 10), (6, 7, 10), (7, 8, 8)],
+        {(1, 2), (3, 4), (5, 6), (7, 8)}),
+    "nested_s_blossom_expand": (
+        [(1, 2, 8), (1, 3, 8), (2, 3, 10), (2, 4, 12), (3, 5, 12), (4, 5, 14),
+         (4, 6, 12), (5, 7, 12), (6, 7, 14), (7, 8, 12)],
+        {(1, 2), (3, 5), (4, 6), (7, 8)}),
+    "s_blossom_relabel_expand": (
+        [(1, 2, 23), (1, 5, 22), (1, 6, 15), (2, 3, 25), (3, 4, 22), (4, 5, 25),
+         (4, 8, 14), (5, 7, 13)],
+        {(1, 6), (2, 3), (4, 8), (5, 7)}),
+    "nested_s_blossom_relabel_expand": (
+        [(1, 2, 19), (1, 3, 20), (1, 8, 8), (2, 3, 25), (2, 4, 18), (3, 5, 18),
+         (4, 5, 13), (4, 7, 7), (5, 6, 7)],
+        {(1, 8), (2, 3), (4, 7), (5, 6)}),
+    "nasty_blossom1": (
+        [(1, 2, 45), (1, 5, 45), (2, 3, 50), (3, 4, 45), (4, 5, 50), (1, 6, 30),
+         (3, 9, 35), (4, 8, 35), (5, 7, 26), (9, 10, 5)],
+        {(1, 6), (2, 3), (4, 8), (5, 7), (9, 10)}),
+    "nasty_blossom2": (
+        [(1, 2, 45), (1, 5, 45), (2, 3, 50), (3, 4, 45), (4, 5, 50), (1, 6, 30),
+         (3, 9, 35), (4, 8, 26), (5, 7, 40), (9, 10, 5)],
+        {(1, 6), (2, 3), (4, 8), (5, 7), (9, 10)}),
+    "nasty_blossom_least_slack": (
+        [(1, 2, 45), (1, 5, 45), (2, 3, 50), (3, 4, 45), (4, 5, 50), (1, 6, 30),
+         (3, 9, 35), (4, 8, 28), (5, 7, 26), (9, 10, 5)],
+        {(1, 6), (2, 3), (4, 8), (5, 7), (9, 10)}),
+    "nasty_blossom_augmenting": (
+        [(1, 2, 45), (1, 7, 45), (2, 3, 50), (3, 4, 45), (4, 5, 95), (4, 6, 94),
+         (5, 6, 94), (6, 7, 50), (1, 8, 30), (3, 11, 35), (5, 9, 36), (7, 10, 26),
+         (11, 12, 5)],
+        {(1, 8), (2, 3), (4, 6), (5, 9), (7, 10), (11, 12)}),
+    "nasty_blossom_expand_recursively": (
+        [(1, 2, 40), (1, 3, 40), (2, 3, 60), (2, 4, 55), (3, 5, 55), (4, 5, 50),
+         (1, 8, 15), (5, 7, 30), (7, 6, 10), (8, 10, 10), (4, 9, 30)],
+        {(1, 2), (3, 5), (4, 9), (6, 7), (8, 10)}),
+}
+
+
+class TestClassicGraphs:
+    @pytest.mark.parametrize("name", list(CLASSIC_GRAPHS))
+    def test_expected_matching(self, name):
+        edges, expected = CLASSIC_GRAPHS[name]
+        g = Graph(1 + max(max(u, v) for u, v, _ in edges), tuple(edges))
+        m = max_weight_matching(g)
+        assert {tuple(sorted(p)) for p in matching_pairs(g, m)} == expected
+        mc = max_cardinality_matching(g)
+        assert is_valid_matching(g, mc)
+        assert mc.cardinality() == brute_force_matching(g, "cardinality").cardinality()
+
+
 class TestGraphValidation:
     def test_self_loop(self):
         with pytest.raises(ValueError):
@@ -186,6 +273,19 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             max_weight_matching(graph(2, (0, 1, -1)))
 
+    @pytest.mark.parametrize("solve", [validate_graph, max_weight_matching,
+                                       max_cardinality_matching, brute_force_matching])
+    @pytest.mark.parametrize("edges, message", [
+        (((0, 1, 1), (2, 2, 1)), "self-loop at vertex 2"),
+        (((0, 1, 1), (1, 3, 1)), r"edge \(1, 3\) out of vertex range"),
+        (((0, 1, 1), (1, 2, 1.5)), "weight 1.5 must be a non-negative integer"),
+        (((0, 2, 1), (1, 2, 1), (2, 0, 1)), r"duplicate edge \(0, 2\)"),
+    ])
+    def test_every_entry_point_checks_every_edge(self, solve, edges, message):
+        # the cardinality solver ignores weights but still rejects bad ones
+        with pytest.raises(ValueError, match=message):
+            solve(graph(3, *edges))
+
 
 def random_graph(rng, max_vertices=10, weights=(1, 2)):
     n = rng.randint(0, max_vertices)
@@ -196,11 +296,14 @@ def random_graph(rng, max_vertices=10, weights=(1, 2)):
 
 
 class TestOracleEquivalence:
-    def test_small_sweep(self):
+    # weights 1-100 reach delta 4 and the mid-stage blossom walk, which
+    # the union graph's weights {1, 2} rarely do
+    @pytest.mark.parametrize("weights", [(1, 2), range(1, 101)], ids=["1-2", "1-100"])
+    def test_small_sweep(self, weights):
         # the full 500-graph run lives in the acceptance suite
         rng = random.Random(99)
         for _ in range(120):
-            g = random_graph(rng)
+            g = random_graph(rng, weights=weights)
             mw = max_weight_matching(g)
             mc = max_cardinality_matching(g)
             assert is_valid_matching(g, mw)

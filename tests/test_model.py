@@ -82,6 +82,15 @@ class TestHeightNumerator:
     def test_string_input(self):
         assert height_numerator("0.25", 100) == 25
 
+    @pytest.mark.parametrize("value", [
+        True, False, float("nan"), float("inf"), float("-inf"), 1e308, None, "abc",
+        "nan", "inf", [0.5]], ids=repr)
+    def test_unreadable_heights_are_not_representable(self, value):
+        with pytest.raises(NonRepresentable):
+            height_numerator(value, 10)
+        with pytest.raises(NonRepresentable):
+            validate_instance([(0.5, value)], 10)
+
 
 class TestOccupancy:
     def test_single_chart(self):
