@@ -1,5 +1,6 @@
 """Packers: iterated-matching loops, forced first round, first fit, layout."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from barpack.generators import (
     generate,
     tight_family_forced_pairs,
 )
+from barpack.matching import max_cardinality_matching, max_weight_matching
 from barpack.model import BarChart, is_feasible, length, occupancy, validate_instance
 from barpack.packers import (
     pack_first_fit,
@@ -285,6 +287,80 @@ class TestGoldenResults:
         m_json, mw_json = GOLDEN_RESULTS[case]
         assert pack_result_to_json(pack_matching(inst)) == m_json
         assert pack_result_to_json(pack_weighted_matching(inst)) == mw_json
+
+
+def corpus():
+    """The pinned differential corpus, in a fixed order: three random
+    families at n = 10, 40, 150 with seeds 0-9, then the tight family
+    with k = 1-5."""
+    for family in ("big", "general", "big-nonincreasing"):
+        for n in (10, 40, 150):
+            for seed in range(10):
+                yield (family, n, seed), generate(GenSpec(family, n, seed))
+    for k in range(1, 6):
+        yield ("tight", k, 0), gen_tight_family(k)
+
+
+# The first 8 hex digits of the sha256 of each pack_result_to_json text
+# over the corpus, pack_matching then pack_weighted_matching per instance.
+# A matcher that returns another maximum matching changes these; update
+# them only with the number of changed results and lengths on record.
+CORPUS_DIGESTS = (
+    "6d9303ee 49841f67 a39b6b4b a39b6b4b 5f999383 f1dbb3b4 c492bfcb c492bfcb "
+    "669d5afb b95034f3 ac30d029 ac30d029 56417fb1 56417fb1 bc669582 b6ec0b93 "
+    "6b9c2b77 1482bc59 2e21840a 2e21840a f2cd041b 39d9a20b 75e6c82c a886822c "
+    "3f729a36 8423970b fbd724a3 41cef500 60700218 dbe90e46 cee05ca2 7d8e675d "
+    "1506cc55 09cb321e c94f7aad d032c322 25fec03d 7fbbcb86 9688739f d044bbbc "
+    "9bd378b1 d887cca2 3f1e9dbb 9e4849b3 37d895ed 82e62944 2a784d2d 77519603 "
+    "2c2cb301 f4b8c9ec 91caf773 c2463cc4 a1722843 b61ae6db d6cdf13d 66bc9732 "
+    "fb96a9e1 a3e06bdb 88319196 18a34f9e 2d49aa75 1ebfe574 08a32811 78241c05 "
+    "826ed553 9e878e8a 3c0f2b72 09ecf04f 49739597 74023459 150fa78f 1775656d "
+    "6f841396 21de6c31 1e4fbc68 de695b65 77709537 13905533 1627bbdd 5d52c36f "
+    "36863a80 525f3ee5 e3ecbc20 b3f1608b 7e8afeb4 2315e781 957cde7d 2970d2b6 "
+    "47df4311 96a75cd6 52843699 1f3ca581 3b40c3f5 357c1442 64015435 21a9c22e "
+    "c829f5a5 ab3454f5 47a421af e51180ef b6cc9cce 9dcd9185 bd67dcf4 546b6c94 "
+    "ce0058b5 883600a9 b933c060 2ca79365 c653e23a 5e68ab10 a845cac6 5faf455c "
+    "4872a31f 75e317ef 9f6ce0e8 11d39f36 09e49519 0e0feb45 fd8c8362 e101aa02 "
+    "b1c95aff b1c95aff 28cb1e54 28cb1e54 8a38bc75 8a38bc75 c0abbd15 c0abbd15 "
+    "c5b1416c c5b1416c 4a2785fc 4a2785fc fba9166d fba9166d c796050f c796050f "
+    "8232ec1b 8232ec1b 62a0e5fa 62a0e5fa 7b0b2896 7b0b2896 74b2b72c 74b2b72c "
+    "e72c00b2 e72c00b2 c6bb4ad8 c6bb4ad8 d46f3e2d d46f3e2d dfd1d1b3 dfd1d1b3 "
+    "f804eb03 f804eb03 bd76fbf4 bd76fbf4 1e442d7c 1e442d7c 17bafd32 17bafd32 "
+    "ffa6df8c ffa6df8c 212edcac 212edcac ad36da93 ad36da93 d101842a d101842a "
+    "ed091d5a ed091d5a f4b29afa f4b29afa 8465a0b0 8465a0b0 fc03fadf fc03fadf "
+    "be439fc1 be439fc1 c09d0c61 c09d0c61 127d181c 127d181c 4b98bec9 4b98bec9 "
+    "f1401e5a f1401e5a 48391dfd 48391dfd 01ba5ddc 01ba5ddc"
+).split()
+
+
+class TestCorpus:
+    def test_digests_unchanged(self):
+        expected = iter(CORPUS_DIGESTS)
+        count = 0
+        for label, inst in corpus():
+            for packer in (pack_matching, pack_weighted_matching):
+                text = pack_result_to_json(packer(inst))
+                digest = hashlib.sha256(text.encode()).hexdigest()[:8]
+                assert digest == next(expected, None), \
+                    f"first changed result: {packer.__name__} on {label}: {text}"
+                count += 1
+        assert count == len(CORPUS_DIGESTS)
+
+    def test_union_graphs_solve_alike_under_unit_and_weighted_code(self, monkeypatch):
+        # every pack_matching graph has unit weights, so the weighted solver
+        # runs the code the cardinality solver's unit path skips
+        graphs = []
+
+        def record(g):
+            graphs.append(g)
+            return max_cardinality_matching(g)
+        monkeypatch.setattr(packers, "max_cardinality_matching", record)
+        for _, inst in corpus():
+            pack_matching(inst)
+        assert len(graphs) == 167
+        for g in graphs:
+            assert max_cardinality_matching(g).edge_indices == \
+                max_weight_matching(g).edge_indices
 
 
 class TestInvariantChecks:
