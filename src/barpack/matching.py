@@ -3,9 +3,9 @@
 The weighted solver is the classic primal-dual blossom method (Galil's
 survey describes it; Ed Rothberg's C code and its well-known Python ports
 fix the bookkeeping conventions used here). Maximum-cardinality matching
-is the same solver run on unit weights: every extra matched edge then adds
-exactly one to the objective, so maximum weight and maximum cardinality
-coincide. A brute-force enumerator over all matchings doubles as the
+is the same solver on unit weights, where each matched edge adds one to
+the objective and every edge stays tight, so it skips the least-slack
+bookkeeping. A brute-force enumerator over all matchings doubles as the
 independent test oracle.
 
 All arithmetic is integer; with integer weights the optimum is verified
@@ -43,20 +43,26 @@ def validate_graph(g: Graph) -> None:
 
 def _index(g: Graph, unit: bool = False):
     """Check every edge and index it in the same pass: the symmetric weight
-    map (weight 1 throughout if unit) and each vertex's neighbours in edge
-    order. The map itself catches duplicates."""
+    map keyed u * n + v (weight 1 throughout if unit) and each vertex's
+    neighbours in edge order. The map itself catches duplicates. Ids must be
+    plain ints, not bools or floats, or 0.5 * n + v could be a real pair's key."""
+    n = g.num_vertices
+    if type(n) is not int or n < 0:
+        raise ValueError(f"vertex count {n!r} must be a non-negative integer")
     weight = {}
-    neighbors = {v: [] for v in range(g.num_vertices)}
+    neighbors = [[] for _ in range(n)]
     for u, v, w in g.edges:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer vertex id")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < g.num_vertices and 0 <= v < g.num_vertices):
+        if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of vertex range")
-        if not isinstance(w, int) or w < 0:
+        if type(w) is not int or w < 0:
             raise ValueError(f"edge ({u}, {v}) weight {w!r} must be a non-negative integer")
-        if (u, v) in weight:
+        if u * n + v in weight:
             raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
-        weight[(u, v)] = weight[(v, u)] = 1 if unit else w
+        weight[u * n + v] = weight[v * n + u] = 1 if unit else w
         neighbors[u].append(v)
         neighbors[v].append(u)
     return weight, neighbors
@@ -168,24 +174,25 @@ def _walk_edge(b, j, jstep):
 
 def _verify_optimum(edges, weight, mate, dualvar, blossomdual, blossomparent):
     """Prove mate optimal by complementary slackness against the final (doubled)
-    duals and the solver's weight map; integer-exact. Raises InvariantViolation,
-    not an assert, so the proof also runs under python -O."""
+    duals and the solver's weight map (keyed as in _index, n = len(dualvar));
+    integer-exact. Raises InvariantViolation, so it also runs under python -O."""
     if min(dualvar.values()) < 0 or min(blossomdual.values(), default=0) < 0:
         raise InvariantViolation("matching solver left a negative dual")
+    n = len(dualvar)
     for u, v, _ in edges:
-        s = dualvar[u] + dualvar[v] - 2 * weight[(u, v)]
-        ublossoms = [u]
-        vblossoms = [v]
-        while blossomparent[ublossoms[-1]] is not None:
-            ublossoms.append(blossomparent[ublossoms[-1]])
-        while blossomparent[vblossoms[-1]] is not None:
-            vblossoms.append(blossomparent[vblossoms[-1]])
-        ublossoms.reverse()
-        vblossoms.reverse()
-        for bi, bj in zip(ublossoms, vblossoms):
-            if bi != bj:
-                break
-            s += 2 * blossomdual[bi]
+        s = dualvar[u] + dualvar[v] - 2 * weight[u * n + v]
+        if blossomparent[u] is not None and blossomparent[v] is not None:
+            # each blossom holding both ends adds its dual; a top-level end is in none
+            ancestors = set()
+            b = blossomparent[u]
+            while b is not None:
+                ancestors.add(b)
+                b = blossomparent[b]
+            b = blossomparent[v]
+            while b is not None:
+                if b in ancestors:
+                    s += 2 * blossomdual[b]
+                b = blossomparent[b]
         if s < 0:
             raise InvariantViolation(f"edge ({u}, {v}) has negative slack {s}")
         if (mate.get(u) == v or mate.get(v) == u) and (
@@ -207,14 +214,23 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     T (2) while alternating trees are grown from free vertices; tight edges
     between S-vertices either close a new blossom or yield an augmenting
     path; when no tight edge is available, the dual variables are adjusted
-    by the smallest of the four classic deltas.
+    by the smallest of the four classic deltas. Edges are keyed as in _index.
+
+    Under unit weights every edge stays tight until the final delta-1 stop,
+    so the slack test, the least-slack bookkeeping (bestedge, mybestedges)
+    and the delta 2, 3 and 4 scans are skipped. Vertex duals start at 1 and
+    change only at a delta step; every blossom forms S-labelled with dual 0
+    and its stage's end expands it, so none outlives its stage or turns T.
+    Each scanned edge thus has slack 1 + 1 - 2 = 0, a drained queue leaves
+    no S-S edge between top-level blossoms and no S-vertex beside an
+    unlabelled one, and the first delta step is delta 1, which stops.
     """
     weight, neighbors = _index(g, unit)
     if not weight:
         return Matching(frozenset())
 
-    gnodes = list(range(g.num_vertices))
-    maxweight = max(weight.values())
+    n = g.num_vertices
+    gnodes = list(range(n))
 
     mate = {}
     label = {}
@@ -223,14 +239,14 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     blossomparent = {v: None for v in gnodes}
     blossombase = {v: v for v in gnodes}
     bestedge = {}
-    dualvar = {v: maxweight for v in gnodes}
+    dualvar = dict.fromkeys(gnodes, max(weight.values()))
     blossomdual = {}
     allowedge = {}
     queue = []
 
     def slack(v, w):
         # duals are premultiplied by two so integer halving stays exact
-        return dualvar[v] + dualvar[w] - 2 * weight[(v, w)]
+        return dualvar[v] + dualvar[w] - 2 * weight[v * n + w]
 
     def assign_label(w, t, v):
         # label the top-level blossom containing w, reached through edge (v, w)
@@ -281,9 +297,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     def add_blossom(base, v, w):
         # fold the odd cycle through S-vertices v, w with the given base
         # into a new S-blossom with dual zero
-        bb = inblossom[base]
-        bv = inblossom[v]
-        bw = inblossom[w]
+        bb, bv, bw = inblossom[base], inblossom[v], inblossom[w]
         b = _Blossom()
         blossombase[b] = base
         blossomparent[b] = None
@@ -318,6 +332,8 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 # former T-vertex becomes S through the new blossom
                 queue.append(v)
             inblossom[v] = b
+        if unit:
+            return
         # compute the blossom's least-slack edges to other S-blossoms
         bestedgeto = {}
         for bv in path:
@@ -365,10 +381,10 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 label[w] = None
                 label[q] = None
                 assign_label(w, 2, v)
-                allowedge[(p, q)] = allowedge[(q, p)] = True
+                allowedge[p * n + q] = allowedge[q * n + p] = True
                 j += jstep
                 v, w = _walk_edge(b, j, jstep)
-                allowedge[(v, w)] = allowedge[(w, v)] = True
+                allowedge[v * n + w] = allowedge[w * n + v] = True
                 j += jstep
             # the base keeps label T without stepping to its mate
             bw = b.childs[j]
@@ -398,9 +414,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
         label.pop(b, None)
         labeledge.pop(b, None)
         bestedge.pop(b, None)
-        del blossomparent[b]
-        del blossombase[b]
-        del blossomdual[b]
+        del blossomparent[b], blossombase[b], blossomdual[b]
 
     def augment_blossom(b, v):
         # swap matched/unmatched edges along the path from v to b's base
@@ -421,8 +435,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
             t = b.childs[j]
             if isinstance(t, _Blossom):
                 augment_blossom(t, x)
-            mate[w] = x
-            mate[x] = w
+            mate[w], mate[x] = x, w
         # rotate children so the new base comes first (a negative i, from
         # a forward walk, slices the same rotation)
         b.childs = b.childs[i:] + b.childs[:i]
@@ -476,34 +489,35 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                     bw = inblossom[w]
                     if bv == bw:
                         continue
-                    if (v, w) not in allowedge:
-                        kslack = slack(v, w)
-                        if kslack <= 0:
-                            allowedge[(v, w)] = allowedge[(w, v)] = True
-                    if (v, w) in allowedge:
-                        if label.get(bw) is None:
-                            # free vertex: becomes T, its mate becomes S
-                            assign_label(w, 2, v)
-                        elif label.get(bw) == 1:
-                            # S-S edge: new blossom or augmenting path
-                            base = scan_blossom(v, w)
-                            if base is not None:
-                                add_blossom(base, v, w)
-                            else:
-                                augment_matching(v, w)
-                                augmented = 1
-                                break
-                        elif label.get(w) is None:
-                            # unreached vertex inside a T-blossom
-                            assert label[bw] == 2
-                            label[w] = 2
-                            labeledge[w] = (v, w)
+                    if not unit and (k := v * n + w) not in allowedge:
+                        kslack = dualvar[v] + dualvar[w] - 2 * weight[k]
+                        if kslack > 0:
+                            # not tight: keep the least slack to an S-blossom, else to w
+                            if label.get(bw) == 1:
+                                if bestedge.get(bv) is None or kslack < slack(*bestedge[bv]):
+                                    bestedge[bv] = (v, w)
+                            elif label.get(w) is None:
+                                if bestedge.get(w) is None or kslack < slack(*bestedge[w]):
+                                    bestedge[w] = (v, w)
+                            continue
+                        allowedge[k] = allowedge[w * n + v] = True
+                    if label.get(bw) is None:
+                        # free vertex: becomes T, its mate becomes S
+                        assign_label(w, 2, v)
                     elif label.get(bw) == 1:
-                        if bestedge.get(bv) is None or kslack < slack(*bestedge[bv]):
-                            bestedge[bv] = (v, w)
+                        # S-S edge: new blossom or augmenting path
+                        base = scan_blossom(v, w)
+                        if base is not None:
+                            add_blossom(base, v, w)
+                        else:
+                            augment_matching(v, w)
+                            augmented = 1
+                            break
                     elif label.get(w) is None:
-                        if bestedge.get(w) is None or kslack < slack(*bestedge[w]):
-                            bestedge[w] = (v, w)
+                        # unreached vertex inside a T-blossom
+                        assert label[bw] == 2
+                        label[w] = 2
+                        labeledge[w] = (v, w)
 
             if augmented:
                 break
@@ -513,34 +527,35 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
             delta = min(dualvar.values())
             deltaedge = deltablossom = None
 
-            # delta2: least slack from an S-vertex to a free vertex
-            for v in gnodes:
-                if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
-                    d = slack(*bestedge[v])
-                    if d < delta:
-                        delta = d
-                        deltatype = 2
-                        deltaedge = bestedge[v]
+            if not unit:
+                # delta2: least slack from an S-vertex to a free vertex
+                for v in gnodes:
+                    if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
+                        d = slack(*bestedge[v])
+                        if d < delta:
+                            delta = d
+                            deltatype = 2
+                            deltaedge = bestedge[v]
 
-            # delta3: half the least S-S slack
-            for b in blossomparent:
-                if (blossomparent[b] is None and label.get(b) == 1
-                        and bestedge.get(b) is not None):
-                    kslack = slack(*bestedge[b])
-                    assert (kslack % 2) == 0
-                    d = kslack // 2
-                    if d < delta:
-                        delta = d
-                        deltatype = 3
-                        deltaedge = bestedge[b]
+                # delta3: half the least S-S slack
+                for b in blossomparent:
+                    if (blossomparent[b] is None and label.get(b) == 1
+                            and bestedge.get(b) is not None):
+                        kslack = slack(*bestedge[b])
+                        assert (kslack % 2) == 0
+                        d = kslack // 2
+                        if d < delta:
+                            delta = d
+                            deltatype = 3
+                            deltaedge = bestedge[b]
 
-            # delta4: smallest T-blossom dual
-            for b in blossomdual:
-                if (blossomparent[b] is None and label.get(b) == 2
-                        and blossomdual[b] < delta):
-                    delta = blossomdual[b]
-                    deltatype = 4
-                    deltablossom = b
+                # delta4: smallest T-blossom dual
+                for b in blossomdual:
+                    if (blossomparent[b] is None and label.get(b) == 2
+                            and blossomdual[b] < delta):
+                        delta = blossomdual[b]
+                        deltatype = 4
+                        deltablossom = b
 
             for v in gnodes:
                 if label.get(inblossom[v]) == 1:
@@ -562,7 +577,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 # delta 2 or 3: the least-slack edge from an S-vertex is tight now
                 (v, w) = deltaedge
                 assert label[inblossom[v]] == 1
-                allowedge[(v, w)] = allowedge[(w, v)] = True
+                allowedge[v * n + w] = allowedge[w * n + v] = True
                 queue.append(v)
 
         for v in mate:

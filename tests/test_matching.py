@@ -97,9 +97,9 @@ class TestMaxWeight:
 PATH = ((0, 1, 1), (1, 2, 1), (2, 3, 1))
 
 
-def weight_map(edges):
-    """The solver's symmetric weight map over edges."""
-    return {k: w for u, v, w in edges for k in ((u, v), (v, u))}
+def weight_map(edges, n):
+    """The solver's symmetric weight map over edges on n vertices."""
+    return {k: w for u, v, w in edges for k in (u * n + v, v * n + u)}
 
 
 UNNESTED = dict.fromkeys(range(4))
@@ -111,13 +111,13 @@ def triangle_blossom(edges):
     b = _Blossom()
     b.childs, b.edges = [0, 1, 2], edges
     triangle = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
-    return (triangle, weight_map(triangle), {0: 1, 1: 0},
+    return (triangle, weight_map(triangle, 3), {0: 1, 1: 0},
             dict.fromkeys(range(3), 0), {b: 1}, {0: b, 1: b, 2: b, b: None})
 
 
 class TestVerifyOptimum:
     def test_accepts_an_optimum(self):
-        _verify_optimum(PATH, weight_map(PATH), PERFECT, dict.fromkeys(range(4), 1), {},
+        _verify_optimum(PATH, weight_map(PATH, 4), PERFECT, dict.fromkeys(range(4), 1), {},
                         UNNESTED)
         _verify_optimum(*triangle_blossom([(2, 0), (0, 1), (1, 2)]))
 
@@ -130,12 +130,42 @@ class TestVerifyOptimum:
     ])
     def test_rejects_a_non_optimum(self, mate, duals, message):
         with pytest.raises(InvariantViolation, match=message):
-            _verify_optimum(PATH, weight_map(PATH), mate, dict(enumerate(duals)), {},
+            _verify_optimum(PATH, weight_map(PATH, 4), mate, dict(enumerate(duals)), {},
                             UNNESTED)
 
     def test_rejects_a_blossom_that_is_not_full(self):
         with pytest.raises(InvariantViolation, match="blossom"):
             _verify_optimum(*triangle_blossom([(0, 1), (1, 2), (2, 0)]))
+
+    @pytest.mark.parametrize("edge", [(2, 3, 1), (3, 2, 1)])
+    def test_checks_an_edge_with_one_top_level_end(self, edge):
+        # vertex 3 lies in no blossom; 2 lies in the triangle's, whose dual
+        # must not rescue the edge's slack 0 + 0 - 2
+        triangle, _, mate, duals, blossomdual, parent = triangle_blossom(
+            [(2, 0), (0, 1), (1, 2)])
+        edges = [*triangle, edge]
+        with pytest.raises(InvariantViolation, match=r"\(\d, \d\) has negative slack -2"):
+            _verify_optimum(edges, weight_map(edges, 4), mate, {**duals, 3: 0},
+                            blossomdual, {**parent, 3: None})
+
+    @pytest.mark.parametrize("inner_dual, weight_32, ok", [
+        (1, 1, True), (0, 1, False), (1, 2, False)])
+    def test_adds_the_duals_of_exactly_the_common_blossoms(self, inner_dual, weight_32, ok):
+        # the triangle 0-1-2 (weight 2) nests in a blossom with 3 and 4: the
+        # triangle's edges need both duals, and edge 3-2 gets only the outer one
+        inner, outer = _Blossom(), _Blossom()
+        inner.childs, inner.edges = [0, 1, 2], [(2, 0), (0, 1), (1, 2)]
+        outer.childs, outer.edges = [inner, 3, 4], [(2, 3), (3, 4), (4, 2)]
+        edges = [(0, 1, 2), (1, 2, 2), (0, 2, 2), (3, 2, weight_32), (3, 4, 1), (2, 4, 1)]
+        args = (edges, weight_map(edges, 5), {0: 1, 1: 0, 3: 4, 4: 3},
+                dict.fromkeys(range(5), 0), {inner: inner_dual, outer: 1},
+                {0: inner, 1: inner, 2: inner, 3: outer, 4: outer,
+                 inner: outer, outer: None})
+        if ok:
+            _verify_optimum(*args)
+        else:
+            with pytest.raises(InvariantViolation, match="negative slack -2"):
+                _verify_optimum(*args)
 
     def test_runs_on_every_solve(self, monkeypatch):
         def refuse(*args):
@@ -151,7 +181,7 @@ class TestVerifyOptimum:
             "from barpack.matching import _verify_optimum",
             "try:",
             "    _verify_optimum(((0, 1, 1), (1, 2, 1), (2, 3, 1)),",
-            "                    {(0, 1): 1, (1, 2): 1, (2, 3): 1}, {1: 2, 2: 1},",
+            "                    {0 * 4 + 1: 1, 1 * 4 + 2: 1, 2 * 4 + 3: 1}, {1: 2, 2: 1},",
             "                    dict.fromkeys(range(4), 1), {}, dict.fromkeys(range(4)))",
             "except InvariantViolation:",
             "    print('raised')",
@@ -275,16 +305,22 @@ class TestGraphValidation:
 
     @pytest.mark.parametrize("solve", [validate_graph, max_weight_matching,
                                        max_cardinality_matching, brute_force_matching])
-    @pytest.mark.parametrize("edges, message", [
-        (((0, 1, 1), (2, 2, 1)), "self-loop at vertex 2"),
-        (((0, 1, 1), (1, 3, 1)), r"edge \(1, 3\) out of vertex range"),
-        (((0, 1, 1), (1, 2, 1.5)), "weight 1.5 must be a non-negative integer"),
-        (((0, 2, 1), (1, 2, 1), (2, 0, 1)), r"duplicate edge \(0, 2\)"),
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, ((0, 1, 1), (2, 2, 1)), "self-loop at vertex 2"),
+        (3, ((0, 1, 1), (1, 3, 1)), r"edge \(1, 3\) out of vertex range"),
+        (3, ((0, 1, 1), (1, 2, 1.5)), "weight 1.5 must be a non-negative integer"),
+        (3, ((0, 2, 1), (1, 2, 1), (2, 0, 1)), r"duplicate edge \(0, 2\)"),
+        (3, ((0.5, 1, 1),), r"edge \(0.5, 1\) has a non-integer vertex id"),
+        (3, ((True, 2, 1),), r"edge \(True, 2\) has a non-integer vertex id"),
+        (3, ((0, 1, True),), "weight True must be a non-negative integer"),
+        (2.0, ((0, 1, 1),), "vertex count 2.0 must be a non-negative integer"),
+        (-1, (), "vertex count -1 must be a non-negative integer"),
+        (True, (), "vertex count True must be a non-negative integer"),
     ])
-    def test_every_entry_point_checks_every_edge(self, solve, edges, message):
+    def test_every_entry_point_checks_every_edge(self, solve, n, edges, message):
         # the cardinality solver ignores weights but still rejects bad ones
         with pytest.raises(ValueError, match=message):
-            solve(graph(3, *edges))
+            solve(Graph(n, edges))
 
 
 def random_graph(rng, max_vertices=10, weights=(1, 2)):
@@ -314,11 +350,17 @@ class TestOracleEquivalence:
                 g, "cardinality").cardinality()
 
     def test_unit_weights_agree_across_solvers(self):
+        # with every weight 1 the weighted solver runs the slack bookkeeping
+        # the cardinality solver skips, and must pick the same edges
         rng = random.Random(7)
-        for _ in range(60):
-            g = random_graph(rng, weights=(1,))
-            assert matching_weight(g, max_weight_matching(g)) == \
-                max_cardinality_matching(g).cardinality()
+        for _ in range(400):
+            n, density = rng.randint(0, 30), rng.random()
+            edges = [(u, v, 1) if rng.random() < 0.5 else (v, u, 1)
+                     for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+            rng.shuffle(edges)
+            g = Graph(n, tuple(edges))
+            assert max_cardinality_matching(g).edge_indices == \
+                max_weight_matching(g).edge_indices
 
     def test_monotone_under_edge_addition(self):
         rng = random.Random(5)
