@@ -207,6 +207,14 @@ def _verify_optimum(edges, weight, mate, dualvar, blossomdual, blossomparent):
             raise InvariantViolation("a blossom with positive dual is not full")
 
 
+def _top_weight_seed(g: Graph, top: int) -> dict:
+    """Mates of a maximum-cardinality matching of g's edges of weight top."""
+    top_edges = tuple(e for e in g.edges if e[2] == top)
+    m = _blossom_matching(Graph(g.num_vertices, top_edges), True)
+    pairs = [top_edges[i][:2] for i in m.edge_indices]
+    return {**dict(pairs), **{v: u for u, v in pairs}}
+
+
 def _blossom_matching(g: Graph, unit: bool) -> Matching:
     """Core solver: an optimum matching of g by edge id, over unit weights if unit.
 
@@ -224,6 +232,11 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     Each scanned edge thus has slack 1 + 1 - 2 = 0, a drained queue leaves
     no S-S edge between top-level blossoms and no S-vertex beside an
     unlabelled one, and the first delta step is delta 1, which stops.
+
+    Otherwise mate starts as a matching on the top-weight edges (Galil's warm
+    start): every vertex dual starts at top, so an edge's doubled slack
+    2 * top - 2 * w is 0 exactly on them, no blossom exists yet and every free
+    vertex holds the one minimal dual. _verify_optimum proves any seed's result.
     """
     weight, neighbors = _index(g, unit)
     if not weight:
@@ -232,14 +245,15 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     n = g.num_vertices
     gnodes = list(range(n))
 
-    mate = {}
+    top = max(weight.values())
+    mate = {} if unit else _top_weight_seed(g, top)
     label = {}
     labeledge = {}
     inblossom = {v: v for v in gnodes}
     blossomparent = {v: None for v in gnodes}
     blossombase = {v: v for v in gnodes}
     bestedge = {}
-    dualvar = dict.fromkeys(gnodes, max(weight.values()))
+    dualvar = dict.fromkeys(gnodes, top)
     blossomdual = {}
     allowedge = {}
     queue = []

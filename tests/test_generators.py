@@ -62,6 +62,14 @@ class TestFamilyPredicates:
             with pytest.raises(ValueError):
                 gen(0, 1)
 
+    @pytest.mark.parametrize("family", ["big-nonincreasing", "big", "general", "tight"])
+    @pytest.mark.parametrize("denominator", [0, -100, True, False])
+    def test_denominator_must_be_a_positive_integer(self, family, denominator):
+        # unchecked, 0 gives zero heights, -100 negative ones, and the random
+        # families fail inside randrange
+        with pytest.raises(ValueError, match="denominator must be a positive integer"):
+            generate(GenSpec(family, 1, seed=3, denominator=denominator))
+
     def test_big_orientation_split(self):
         # among charts with exactly one bar above 1/2, the big side should
         # be the first bar about half the time

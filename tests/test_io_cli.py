@@ -132,6 +132,16 @@ class TestCli:
         assert instance_to_json(instance_from_json(text)) == text
         assert instance_from_json(text) == gen_big(5, 7)
 
+    @pytest.mark.parametrize("family", ["big-nonincreasing", "big", "general", "tight"])
+    @pytest.mark.parametrize("denominator", ["0", "-100"])
+    def test_gen_rejects_a_non_positive_denominator(self, family, denominator, tmp_path,
+                                                   capsys):
+        out = tmp_path / "inst.json"
+        assert main(["gen", "--family", family, "--n", "2", "--k", "1",
+                     "--denominator", denominator, "--out", str(out)]) == 2
+        assert "denominator must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):

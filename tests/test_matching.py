@@ -54,6 +54,24 @@ class TestMaxCardinality:
         assert max_cardinality_matching(g).cardinality() == 3
 
 
+def record_warm_start(monkeypatch):
+    """Record each weighted solve's seed and the blossoms it ends with."""
+    seen = {}
+    seed, verify = matching._top_weight_seed, matching._verify_optimum
+
+    def recording_seed(g, top):
+        mate = seed(g, top)
+        seen["seed"] = dict(mate)  # the solver goes on to update mate itself
+        return mate
+
+    def recording_verify(edges, weight, mate, dualvar, blossomdual, blossomparent):
+        seen.update(blossomdual=blossomdual, blossomparent=blossomparent)
+        verify(edges, weight, mate, dualvar, blossomdual, blossomparent)
+    monkeypatch.setattr(matching, "_top_weight_seed", recording_seed)
+    monkeypatch.setattr(matching, "_verify_optimum", recording_verify)
+    return seen
+
+
 class TestMaxWeight:
     def test_middle_edge_wins(self):
         g = graph(4, (0, 1, 1), (1, 2, 3), (2, 3, 1))
@@ -61,11 +79,27 @@ class TestMaxWeight:
         assert matching_weight(g, m) == 3
         assert set(matching_pairs(g, m)) == {(1, 2)}
 
-    def test_outer_edges_win(self):
+    def test_outer_edges_win(self, monkeypatch):
+        # 1-2 is the only top-weight edge, so it is the whole warm-start
+        # seed, and the solver must trade it for the two lighter edges
+        seen = record_warm_start(monkeypatch)
         g = graph(4, (0, 1, 2), (1, 2, 3), (2, 3, 2))
         m = max_weight_matching(g)
+        assert seen["seed"] == {1: 2, 2: 1}
         assert matching_weight(g, m) == 4
         assert set(matching_pairs(g, m)) == {(0, 1), (2, 3)}
+
+    def test_seed_ends_inside_a_blossom(self, monkeypatch):
+        # free vertex 1 reaches the seeded edge 0-2 through 0-1; after a
+        # delta-3 step the light edge 1-2 closes the triangle into a blossom
+        # that keeps a positive dual and the seeded edge
+        seen = record_warm_start(monkeypatch)
+        g = graph(3, (0, 1, 3), (0, 2, 3), (1, 2, 1))
+        assert set(matching_pairs(g, max_weight_matching(g))) == {(0, 2)}
+        assert seen["seed"] == {0: 2, 2: 0}
+        b = seen["blossomparent"][0]
+        assert seen["blossomparent"][2] is b and seen["blossomdual"][b] > 0
+        assert set(b.leaves()) == {0, 1, 2}
 
     def test_weight_beats_cardinality(self):
         g = graph(4, (0, 1, 5), (1, 2, 1), (2, 3, 1))
@@ -333,8 +367,10 @@ def random_graph(rng, max_vertices=10, weights=(1, 2)):
 
 class TestOracleEquivalence:
     # weights 1-100 reach delta 4 and the mid-stage blossom walk, which
-    # the union graph's weights {1, 2} rarely do
-    @pytest.mark.parametrize("weights", [(1, 2), range(1, 101)], ids=["1-2", "1-100"])
+    # the union graph's weights {1, 2} rarely do; under uniform weights the
+    # warm-start seed is already a maximum matching
+    @pytest.mark.parametrize("weights", [(1, 2), (1, 2, 3), (3,), range(1, 101)],
+                             ids=["1-2", "1-3", "3", "1-100"])
     def test_small_sweep(self, weights):
         # the full 500-graph run lives in the acceptance suite
         rng = random.Random(99)
@@ -348,10 +384,15 @@ class TestOracleEquivalence:
                 g, brute_force_matching(g, "weight"))
             assert mc.cardinality() == brute_force_matching(
                 g, "cardinality").cardinality()
+            if len(weights) == 1:
+                # the seed is the unit solve, and no augmenting path is left
+                assert mw == mc
 
-    def test_unit_weights_agree_across_solvers(self):
+    def test_unit_weights_agree_across_solvers(self, monkeypatch):
         # with every weight 1 the weighted solver runs the slack bookkeeping
-        # the cardinality solver skips, and must pick the same edges
+        # the cardinality solver skips, and must pick the same edges; its
+        # seed would be the unit solve itself, so it starts cold here
+        monkeypatch.setattr(matching, "_top_weight_seed", lambda g, top: {})
         rng = random.Random(7)
         for _ in range(400):
             n, density = rng.randint(0, 30), rng.random()
@@ -374,3 +415,4 @@ class TestOracleEquivalence:
             g_full = Graph(n, tuple(edges))
             assert matching_weight(g_full, max_weight_matching(g_full)) >= \
                 matching_weight(g_small, max_weight_matching(g_small))
+

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import barpack
-from barpack import packers
+from barpack import matching, packers
 from barpack.errors import InvariantViolation, NotAMatching, NotMaxWeight, ProvenanceGap
 from barpack.exact import solve_exact
 from barpack.generators import (
@@ -20,7 +20,11 @@ from barpack.generators import (
     generate,
     tight_family_forced_pairs,
 )
-from barpack.matching import max_cardinality_matching, max_weight_matching
+from barpack.matching import (
+    matching_weight,
+    max_cardinality_matching,
+    max_weight_matching,
+)
 from barpack.model import BarChart, is_feasible, length, occupancy, validate_instance
 from barpack.packers import (
     pack_first_fit,
@@ -348,7 +352,9 @@ class TestCorpus:
 
     def test_union_graphs_solve_alike_under_unit_and_weighted_code(self, monkeypatch):
         # every pack_matching graph has unit weights, so the weighted solver
-        # runs the code the cardinality solver's unit path skips
+        # runs the code the cardinality solver's unit path skips; it starts
+        # cold, since its seed would be the unit solve itself
+        monkeypatch.setattr(matching, "_top_weight_seed", lambda g, top: {})
         graphs = []
 
         def record(g):
@@ -361,6 +367,23 @@ class TestCorpus:
         for g in graphs:
             assert max_cardinality_matching(g).edge_indices == \
                 max_weight_matching(g).edge_indices
+
+    def test_weighted_graphs_solve_alike_seeded_and_cold(self, monkeypatch):
+        # the warm start leaves every pack_weighted_matching choice unchanged
+        solved = []
+
+        def record(g):
+            solved.append((g, max_weight_matching(g)))
+            return solved[-1][1]
+        monkeypatch.setattr(packers, "max_weight_matching", record)
+        for _, inst in corpus():
+            pack_weighted_matching(inst)
+        assert len(solved) == 139
+        monkeypatch.setattr(matching, "_top_weight_seed", lambda g, top: {})
+        for g, seeded in solved:
+            cold = max_weight_matching(g)
+            assert matching_weight(g, cold) == matching_weight(g, seeded)
+            assert cold.edge_indices == seeded.edge_indices
 
 
 class TestInvariantChecks:
