@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import KTooSmall, NotAMatching
-from .model import DEFAULT_DENOMINATOR, BarChart, Instance
+from .model import DEFAULT_DENOMINATOR, BarChart, Instance, check_denominator
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,11 @@ def _check_n(n: int) -> None:
         raise ValueError("need at least one chart")
 
 
-def _check_denominator(denominator: int) -> None:
-    if type(denominator) is not int or denominator < 1:
-        raise ValueError("denominator must be a positive integer")
-
-
 def gen_big_nonincreasing(n: int, seed: int = 0,
                           denominator: int = DEFAULT_DENOMINATOR) -> Instance:
     """Charts with a drawn uniformly from (1/2, 1] and b from (0, a]."""
     _check_n(n)
-    _check_denominator(denominator)
+    check_denominator(denominator)
     rng = random.Random(seed)
     half = denominator // 2
     charts = []
@@ -69,7 +64,7 @@ def gen_big(n: int, seed: int = 0,
     """Charts with one designated bar above 1/2; which side is big is a
     coin flip, the other bar is uniform over (0, 1]."""
     _check_n(n)
-    _check_denominator(denominator)
+    check_denominator(denominator)
     rng = random.Random(seed)
     half = denominator // 2
     charts = []
@@ -86,7 +81,7 @@ def gen_general(n: int, seed: int = 0,
                 denominator: int = DEFAULT_DENOMINATOR) -> Instance:
     """Both bars uniform over (0, 1] on the grid."""
     _check_n(n)
-    _check_denominator(denominator)
+    check_denominator(denominator)
     rng = random.Random(seed)
     charts = []
     for i in range(n):
@@ -108,7 +103,7 @@ def gen_tight_family(k: int, denominator: int = DEFAULT_DENOMINATOR) -> Instance
     """
     if k < 1:
         raise KTooSmall("tight family needs k >= 1")
-    _check_denominator(denominator)
+    check_denominator(denominator)
     if denominator % 100 != 0:
         raise ValueError("tight family heights need a denominator divisible by 100")
     unit = denominator // 100

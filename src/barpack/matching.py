@@ -4,9 +4,9 @@ The weighted solver is the classic primal-dual blossom method (Galil's
 survey describes it; Ed Rothberg's C code and its well-known Python ports
 fix the bookkeeping conventions used here). Maximum-cardinality matching
 is the same solver on unit weights, where each matched edge adds one to
-the objective and every edge stays tight, so it skips the least-slack
-bookkeeping. A brute-force enumerator over all matchings doubles as the
-independent test oracle.
+the objective and every edge stays tight, so it skips the tightness test
+and the delta 2, 3 and 4 scans. A brute-force enumerator over all matchings
+doubles as the independent test oracle.
 
 All arithmetic is integer; with integer weights the optimum is verified
 against the dual solution on every call.
@@ -143,7 +143,7 @@ def brute_force_matching(g: Graph, objective: str = "weight") -> Matching:
 class _Blossom:
     """A non-trivial blossom: odd alternating cycle over sub-blossoms."""
 
-    __slots__ = ("childs", "edges", "mybestedges")
+    __slots__ = ("childs", "edges")
 
     def leaves(self):
         stack = [*self.childs]
@@ -224,14 +224,19 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     path; when no tight edge is available, the dual variables are adjusted
     by the smallest of the four classic deltas. Edges are keyed as in _index.
 
+    Deltas 2 and 3 come from a scan of the edges at each dual step, not from
+    Galil's least-slack cache: a step costs O(m), not O(n), so a solve is
+    O(n^2 m) at worst, not O(n^3). Dual steps are rare after the warm start:
+    perfbench's 16 mw-big solves (gen_big(300), seed 1) run 546 stages but
+    only 16 delta-3 steps and no delta-2 or delta-4 step.
+
     Under unit weights every edge stays tight until the final delta-1 stop,
-    so the slack test, the least-slack bookkeeping (bestedge, mybestedges)
-    and the delta 2, 3 and 4 scans are skipped. Vertex duals start at 1 and
-    change only at a delta step; every blossom forms S-labelled with dual 0
-    and its stage's end expands it, so none outlives its stage or turns T.
-    Each scanned edge thus has slack 1 + 1 - 2 = 0, a drained queue leaves
-    no S-S edge between top-level blossoms and no S-vertex beside an
-    unlabelled one, and the first delta step is delta 1, which stops.
+    so the tightness test and the delta 2, 3 and 4 scans are skipped. Vertex
+    duals start at 1 and change only at a delta step; every blossom forms
+    S-labelled with dual 0 and its stage's end expands it, so none outlives
+    its stage or turns T. Each scanned edge thus has slack 1 + 1 - 2 = 0, a
+    drained queue leaves no S-S edge between top-level blossoms and no
+    S-vertex beside an unlabelled one, and the first delta step is delta 1.
 
     Otherwise mate starts as a matching on the top-weight edges (Galil's warm
     start): every vertex dual starts at top, so an edge's doubled slack
@@ -252,15 +257,9 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     inblossom = {v: v for v in gnodes}
     blossomparent = {v: None for v in gnodes}
     blossombase = {v: v for v in gnodes}
-    bestedge = {}
     dualvar = dict.fromkeys(gnodes, top)
     blossomdual = {}
-    allowedge = {}
     queue = []
-
-    def slack(v, w):
-        # duals are premultiplied by two so integer halving stays exact
-        return dualvar[v] + dualvar[w] - 2 * weight[v * n + w]
 
     def assign_label(w, t, v):
         # label the top-level blossom containing w, reached through edge (v, w)
@@ -268,7 +267,6 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
         assert label.get(w) is None and label.get(b) is None
         label[w] = label[b] = t
         labeledge[w] = labeledge[b] = None if v is None else (v, w)
-        bestedge[w] = bestedge[b] = None
         if t == 1:
             # S-blossom: its vertices join the scan queue
             if isinstance(b, _Blossom):
@@ -346,31 +344,6 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 # former T-vertex becomes S through the new blossom
                 queue.append(v)
             inblossom[v] = b
-        if unit:
-            return
-        # compute the blossom's least-slack edges to other S-blossoms
-        bestedgeto = {}
-        for bv in path:
-            if isinstance(bv, _Blossom):
-                if bv.mybestedges is not None:
-                    nblist = bv.mybestedges
-                    bv.mybestedges = None
-                else:
-                    nblist = [(v, w) for v in bv.leaves() for w in neighbors[v]]
-            else:
-                nblist = [(bv, w) for w in neighbors[bv]]
-            for k in nblist:
-                (i, j) = k
-                if inblossom[j] == b:
-                    i, j = j, i
-                bj = inblossom[j]
-                if (bj != b and label.get(bj) == 1
-                        and ((bj not in bestedgeto)
-                             or slack(i, j) < slack(*bestedgeto[bj]))):
-                    bestedgeto[bj] = k
-            bestedge[bv] = None
-        b.mybestedges = list(bestedgeto.values())
-        bestedge[b] = min(b.mybestedges, key=lambda k: slack(*k), default=None)
 
     def expand_blossom(b, endstage):
         # recursion depth is bounded by blossom nesting, itself < n/2
@@ -391,20 +364,17 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
             v, w = labeledge[b]
             while j != 0:
                 # relabel the T-sub-blossom on the way to the base
-                p, q = _walk_edge(b, j, jstep)
+                _, q = _walk_edge(b, j, jstep)
                 label[w] = None
                 label[q] = None
                 assign_label(w, 2, v)
-                allowedge[p * n + q] = allowedge[q * n + p] = True
                 j += jstep
                 v, w = _walk_edge(b, j, jstep)
-                allowedge[v * n + w] = allowedge[w * n + v] = True
                 j += jstep
             # the base keeps label T without stepping to its mate
             bw = b.childs[j]
             label[w] = label[bw] = 2
             labeledge[w] = labeledge[bw] = (v, w)
-            bestedge[bw] = None
             j += jstep
             while b.childs[j] != entrychild:
                 # children on the other side are relabeled only if reachable
@@ -427,7 +397,6 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 j += jstep
         label.pop(b, None)
         labeledge.pop(b, None)
-        bestedge.pop(b, None)
         del blossomparent[b], blossombase[b], blossomdual[b]
 
     def augment_blossom(b, v):
@@ -482,10 +451,6 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
         # stage: grow alternating trees until one augmentation succeeds
         label.clear()
         labeledge.clear()
-        bestedge.clear()
-        for b in blossomdual:
-            b.mybestedges = None
-        allowedge.clear()
         queue[:] = []
 
         for v in gnodes:
@@ -503,18 +468,8 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                     bw = inblossom[w]
                     if bv == bw:
                         continue
-                    if not unit and (k := v * n + w) not in allowedge:
-                        kslack = dualvar[v] + dualvar[w] - 2 * weight[k]
-                        if kslack > 0:
-                            # not tight: keep the least slack to an S-blossom, else to w
-                            if label.get(bw) == 1:
-                                if bestedge.get(bv) is None or kslack < slack(*bestedge[bv]):
-                                    bestedge[bv] = (v, w)
-                            elif label.get(w) is None:
-                                if bestedge.get(w) is None or kslack < slack(*bestedge[w]):
-                                    bestedge[w] = (v, w)
-                            continue
-                        allowedge[k] = allowedge[w * n + v] = True
+                    if not unit and dualvar[v] + dualvar[w] > 2 * weight[v * n + w]:
+                        continue
                     if label.get(bw) is None:
                         # free vertex: becomes T, its mate becomes S
                         assign_label(w, 2, v)
@@ -543,25 +498,26 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
 
             if not unit:
                 # delta2: least slack from an S-vertex to a free vertex
-                for v in gnodes:
-                    if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
-                        d = slack(*bestedge[v])
-                        if d < delta:
-                            delta = d
-                            deltatype = 2
-                            deltaedge = bestedge[v]
+                for w in gnodes:
+                    if label.get(inblossom[w]) is None:
+                        for v in neighbors[w]:
+                            if label.get(inblossom[v]) == 1:
+                                d = dualvar[v] + dualvar[w] - 2 * weight[v * n + w]
+                                if d < delta:
+                                    delta, deltatype, deltaedge = d, 2, (v, w)
 
-                # delta3: half the least S-S slack
+                # delta3: half the least S-S slack (duals are doubled, so it is even)
                 for b in blossomparent:
-                    if (blossomparent[b] is None and label.get(b) == 1
-                            and bestedge.get(b) is not None):
-                        kslack = slack(*bestedge[b])
-                        assert (kslack % 2) == 0
-                        d = kslack // 2
-                        if d < delta:
-                            delta = d
-                            deltatype = 3
-                            deltaedge = bestedge[b]
+                    if blossomparent[b] is None and label.get(b) == 1:
+                        for v in b.leaves() if isinstance(b, _Blossom) else (b,):
+                            for w in neighbors[v]:
+                                bw = inblossom[w]
+                                if bw != b and label.get(bw) == 1:
+                                    d = dualvar[v] + dualvar[w] - 2 * weight[v * n + w]
+                                    assert d % 2 == 0
+                                    d //= 2
+                                    if d < delta:
+                                        delta, deltatype, deltaedge = d, 3, (v, w)
 
                 # delta4: smallest T-blossom dual
                 for b in blossomdual:
@@ -589,9 +545,9 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 expand_blossom(deltablossom, False)
             else:
                 # delta 2 or 3: the least-slack edge from an S-vertex is tight now
-                (v, w) = deltaedge
+                v, w = deltaedge
                 assert label[inblossom[v]] == 1
-                allowedge[v * n + w] = allowedge[w * n + v] = True
+                assert dualvar[v] + dualvar[w] == 2 * weight[v * n + w]
                 queue.append(v)
 
         for v in mate:

@@ -102,14 +102,19 @@ class Packing:
     starts: tuple[int, ...]
 
 
+def check_denominator(denominator: int) -> None:
+    """Reject a denominator that is not a plain int of at least 1 (bools too)."""
+    if type(denominator) is not int or denominator < 1:
+        raise ValueError("denominator must be a positive integer")
+
+
 def validate_instance(raw, denominator: int = DEFAULT_DENOMINATOR) -> Instance:
     """Build an Instance from (a, b) height pairs, assigning ids in order.
 
     Heights may be ints, Fractions, strings or floats; each must be an
     integer multiple of 1/denominator inside (0, 1].
     """
-    if denominator < 1:
-        raise ValueError("denominator must be a positive integer")
+    check_denominator(denominator)
     raw = list(raw)
     if not raw:
         raise EmptyInstance("instance needs at least one chart")

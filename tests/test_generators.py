@@ -63,7 +63,7 @@ class TestFamilyPredicates:
                 gen(0, 1)
 
     @pytest.mark.parametrize("family", ["big-nonincreasing", "big", "general", "tight"])
-    @pytest.mark.parametrize("denominator", [0, -100, True, False])
+    @pytest.mark.parametrize("denominator", [0, -100, True, False, 2.5, "7", None])
     def test_denominator_must_be_a_positive_integer(self, family, denominator):
         # unchecked, 0 gives zero heights, -100 negative ones, and the random
         # families fail inside randrange

@@ -1,5 +1,6 @@
 """Matching engine: examples, structural validity, oracle equivalence."""
 
+import dis
 import gc
 import os
 import random
@@ -323,6 +324,35 @@ class TestClassicGraphs:
         assert is_valid_matching(g, mc)
         assert mc.cardinality() == brute_force_matching(g, "cardinality").cardinality()
 
+    def test_every_solver_line_runs(self):
+        # the classic graphs plus the empty graph reach every line of the
+        # solver and its closures, the rare delta-4 and blossom-walk ones too
+        codes, stack = set(), [matching._blossom_matching.__code__]
+        while stack:
+            code = stack.pop()
+            codes.add(code)
+            stack.extend(c for c in code.co_consts if isinstance(c, type(code)))
+        lines = {(code, line) for code in codes for _, line in dis.findlinestarts(code)
+                 if line is not None and line != code.co_firstlineno}
+        ran = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code not in codes:
+                return None
+            ran.add((frame.f_code, frame.f_lineno))
+            return trace
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            for edges, _ in [*CLASSIC_GRAPHS.values(), ([], None)]:
+                g = Graph(1 + max((max(u, v) for u, v, _ in edges), default=0), tuple(edges))
+                max_weight_matching(g)
+                max_cardinality_matching(g)
+        finally:
+            sys.settrace(previous)
+        missed = sorted((code.co_name, line) for code, line in lines - ran)
+        assert not missed, f"solver lines never run: {missed}"
+
 
 class TestGraphValidation:
     def test_self_loop(self):
@@ -389,9 +419,10 @@ class TestOracleEquivalence:
                 assert mw == mc
 
     def test_unit_weights_agree_across_solvers(self, monkeypatch):
-        # with every weight 1 the weighted solver runs the slack bookkeeping
-        # the cardinality solver skips, and must pick the same edges; its
-        # seed would be the unit solve itself, so it starts cold here
+        # with every weight 1 the weighted solver runs the tightness test and
+        # the delta 2, 3 and 4 scans the cardinality solver skips, and must
+        # pick the same edges; its seed would be the unit solve itself, so it
+        # starts cold here
         monkeypatch.setattr(matching, "_top_weight_seed", lambda g, top: {})
         rng = random.Random(7)
         for _ in range(400):

@@ -64,9 +64,12 @@ class TestValidateInstance:
         with pytest.raises(EmptyInstance):
             validate_instance([], 10)
 
-    def test_bad_denominator(self):
-        with pytest.raises(ValueError):
-            validate_instance([(0.5, 0.5)], 0)
+    @pytest.mark.parametrize("denominator", [0, -100, True, False, 2.5, "7", None])
+    def test_bad_denominator(self, denominator):
+        # unchecked, True built an Instance whose JSON its own parser rejects,
+        # 2.5 raised AttributeError and "7" and None raised TypeError
+        with pytest.raises(ValueError, match="denominator must be a positive integer"):
+            validate_instance([(1, 1)], denominator)
 
     def test_ids_in_input_order(self):
         inst = validate_instance([(0.1, 0.2), (0.3, 0.4)], 10)
