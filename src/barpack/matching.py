@@ -9,7 +9,8 @@ and the delta 2, 3 and 4 scans. A brute-force enumerator over all matchings
 doubles as the independent test oracle.
 
 All arithmetic is integer; with integer weights the optimum is verified
-against the dual solution on every call.
+against the dual solution on every call, in the pass that reads back the
+matched edge ids.
 """
 
 from __future__ import annotations
@@ -42,15 +43,14 @@ def validate_graph(g: Graph) -> None:
 
 
 def _index(g: Graph, unit: bool = False):
-    """Check every edge and index it in the same pass: the symmetric weight
-    map keyed u * n + v (weight 1 throughout if unit) and each vertex's
-    neighbours in edge order. The map itself catches duplicates. Ids must be
-    plain ints, not bools or floats, or 0.5 * n + v could be a real pair's key."""
+    """Check every edge and index it in the same pass: adj[v] maps v's neighbours
+    to edge weights (1 throughout if unit) in edge input order, since dicts keep
+    insertion order, and catches a duplicate in either orientation. Ids must be
+    plain ints: True would stand for vertex 1, and 0.5 for none."""
     n = g.num_vertices
     if type(n) is not int or n < 0:
         raise ValueError(f"vertex count {n!r} must be a non-negative integer")
-    weight = {}
-    neighbors = [[] for _ in range(n)]
+    adj = [{} for _ in range(n)]
     for u, v, w in g.edges:
         if type(u) is not int or type(v) is not int:
             raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer vertex id")
@@ -60,12 +60,10 @@ def _index(g: Graph, unit: bool = False):
             raise ValueError(f"edge ({u}, {v}) out of vertex range")
         if type(w) is not int or w < 0:
             raise ValueError(f"edge ({u}, {v}) weight {w!r} must be a non-negative integer")
-        if u * n + v in weight:
+        if v in adj[u]:
             raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
-        weight[u * n + v] = weight[v * n + u] = 1 if unit else w
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    return weight, neighbors
+        adj[u][v] = adj[v][u] = 1 if unit else w
+    return adj
 
 
 def matching_pairs(g: Graph, m: Matching) -> tuple[tuple[int, int], ...]:
@@ -172,15 +170,15 @@ def _walk_edge(b, j, jstep):
     return p, q
 
 
-def _verify_optimum(edges, weight, mate, dualvar, blossomdual, blossomparent):
+def _verify_optimum(edges, adj, mate, dualvar, blossomdual, blossomparent):
     """Prove mate optimal by complementary slackness against the final (doubled)
-    duals and the solver's weight map (keyed as in _index, n = len(dualvar));
-    integer-exact. Raises InvariantViolation, so it also runs under python -O."""
-    if min(dualvar.values()) < 0 or min(blossomdual.values(), default=0) < 0:
+    duals and _index's adjacency map, integer-exact, and return the matched edge
+    ids. Raises InvariantViolation, so it also runs under python -O."""
+    if min(dualvar) < 0 or min(blossomdual.values(), default=0) < 0:
         raise InvariantViolation("matching solver left a negative dual")
-    n = len(dualvar)
-    for u, v, _ in edges:
-        s = dualvar[u] + dualvar[v] - 2 * weight[u * n + v]
+    matched = []
+    for i, (u, v, _) in enumerate(edges):
+        s = dualvar[u] + dualvar[v] - 2 * adj[u][v]
         if blossomparent[u] is not None and blossomparent[v] is not None:
             # each blossom holding both ends adds its dual; a top-level end is in none
             ancestors = set()
@@ -195,16 +193,18 @@ def _verify_optimum(edges, weight, mate, dualvar, blossomdual, blossomparent):
                 b = blossomparent[b]
         if s < 0:
             raise InvariantViolation(f"edge ({u}, {v}) has negative slack {s}")
-        if (mate.get(u) == v or mate.get(v) == u) and (
-                mate.get(u) != v or mate.get(v) != u or s != 0):
-            raise InvariantViolation(f"matched edge ({u}, {v}) is one-sided or not tight")
-    for v, dual in dualvar.items():
+        if mate.get(u) == v or mate.get(v) == u:
+            if mate.get(u) != v or mate.get(v) != u or s != 0:
+                raise InvariantViolation(f"matched edge ({u}, {v}) is one-sided or not tight")
+            matched.append(i)
+    for v, dual in enumerate(dualvar):
         if v not in mate and dual != 0:
             raise InvariantViolation(f"free vertex {v} has dual {dual}")
     for b, dual in blossomdual.items():
         if dual > 0 and (len(b.edges) % 2 == 0 or any(
                 mate.get(u) != v or mate.get(v) != u for u, v in b.edges[1::2])):
             raise InvariantViolation("a blossom with positive dual is not full")
+    return matched
 
 
 def _top_weight_seed(g: Graph, top: int) -> dict:
@@ -222,7 +222,10 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     T (2) while alternating trees are grown from free vertices; tight edges
     between S-vertices either close a new blossom or yield an augmenting
     path; when no tight edge is available, the dual variables are adjusted
-    by the smallest of the four classic deltas. Edges are keyed as in _index.
+    by the smallest of the four classic deltas. Weights come from _index's
+    adjacency map; duals and inblossom are lists by vertex. State that also
+    keys blossoms stays in dicts: their order fixes the delta-3 and end-of-stage
+    scans, and with them the weighted tie-breaks.
 
     Deltas 2 and 3 come from a scan of the edges at each dual step, not from
     Galil's least-slack cache: a step costs O(m), not O(n), so a solve is
@@ -243,21 +246,20 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     2 * top - 2 * w is 0 exactly on them, no blossom exists yet and every free
     vertex holds the one minimal dual. _verify_optimum proves any seed's result.
     """
-    weight, neighbors = _index(g, unit)
-    if not weight:
+    adj = _index(g, unit)
+    if not g.edges:
         return Matching(frozenset())
 
-    n = g.num_vertices
-    gnodes = list(range(n))
+    gnodes = range(g.num_vertices)
 
-    top = max(weight.values())
+    top = 1 if unit else max(w for _, _, w in g.edges)
     mate = {} if unit else _top_weight_seed(g, top)
     label = {}
     labeledge = {}
-    inblossom = {v: v for v in gnodes}
+    inblossom = list(gnodes)
     blossomparent = {v: None for v in gnodes}
     blossombase = {v: v for v in gnodes}
-    dualvar = dict.fromkeys(gnodes, top)
+    dualvar = [top] * g.num_vertices
     blossomdual = {}
     queue = []
 
@@ -266,7 +268,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
         b = inblossom[w]
         assert label.get(w) is None and label.get(b) is None
         label[w] = label[b] = t
-        labeledge[w] = labeledge[b] = None if v is None else (v, w)
+        labeledge[w] = labeledge[b] = (v, w)
         if t == 1:
             # S-blossom: its vertices join the scan queue
             if isinstance(b, _Blossom):
@@ -448,14 +450,20 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 mate[j] = s
 
     while 1:
-        # stage: grow alternating trees until one augmentation succeeds
+        # stage: grow alternating trees until one augmentation succeeds; a free
+        # vertex is its top-level blossom's base, so all are labelled S at once
+        free = [v for v in gnodes if v not in mate]
+        roots = [inblossom[v] for v in free]
         label.clear()
+        label.update(dict.fromkeys(free + roots, 1))
         labeledge.clear()
+        labeledge.update(dict.fromkeys(free + roots))
         queue[:] = []
-
-        for v in gnodes:
-            if (v not in mate) and label.get(inblossom[v]) is None:
-                assign_label(v, 1, None)
+        for b in roots:
+            if isinstance(b, _Blossom):
+                queue.extend(b.leaves())
+            else:
+                queue.append(b)
 
         augmented = 0
         while 1:
@@ -463,13 +471,10 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
             while queue and not augmented:
                 v = queue.pop()
                 assert label[inblossom[v]] == 1
-                for w in neighbors[v]:
-                    bv = inblossom[v]
-                    bw = inblossom[w]
-                    if bv == bw:
-                        continue
-                    if not unit and dualvar[v] + dualvar[w] > 2 * weight[v * n + w]:
-                        continue
+                for w, wt in adj[v].items():
+                    bv, bw = inblossom[v], inblossom[w]
+                    if bv == bw or (not unit and dualvar[v] + dualvar[w] > 2 * wt):
+                        continue  # inside one blossom, or not tight
                     if label.get(bw) is None:
                         # free vertex: becomes T, its mate becomes S
                         assign_label(w, 2, v)
@@ -492,17 +497,15 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 break
 
             # delta1: minimum vertex dual (stopping criterion)
-            deltatype = 1
-            delta = min(dualvar.values())
-            deltaedge = deltablossom = None
+            delta, deltatype = min(dualvar), 1
 
             if not unit:
                 # delta2: least slack from an S-vertex to a free vertex
                 for w in gnodes:
                     if label.get(inblossom[w]) is None:
-                        for v in neighbors[w]:
+                        for v, wt in adj[w].items():
                             if label.get(inblossom[v]) == 1:
-                                d = dualvar[v] + dualvar[w] - 2 * weight[v * n + w]
+                                d = dualvar[v] + dualvar[w] - 2 * wt
                                 if d < delta:
                                     delta, deltatype, deltaedge = d, 2, (v, w)
 
@@ -510,22 +513,19 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 for b in blossomparent:
                     if blossomparent[b] is None and label.get(b) == 1:
                         for v in b.leaves() if isinstance(b, _Blossom) else (b,):
-                            for w in neighbors[v]:
+                            for w, wt in adj[v].items():
                                 bw = inblossom[w]
                                 if bw != b and label.get(bw) == 1:
-                                    d = dualvar[v] + dualvar[w] - 2 * weight[v * n + w]
+                                    d = dualvar[v] + dualvar[w] - 2 * wt
                                     assert d % 2 == 0
                                     d //= 2
                                     if d < delta:
                                         delta, deltatype, deltaedge = d, 3, (v, w)
 
                 # delta4: smallest T-blossom dual
-                for b in blossomdual:
-                    if (blossomparent[b] is None and label.get(b) == 2
-                            and blossomdual[b] < delta):
-                        delta = blossomdual[b]
-                        deltatype = 4
-                        deltablossom = b
+                for b, dual in blossomdual.items():
+                    if blossomparent[b] is None and label.get(b) == 2 and dual < delta:
+                        delta, deltatype, deltablossom = dual, 4, b
 
             for v in gnodes:
                 if label.get(inblossom[v]) == 1:
@@ -547,7 +547,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 # delta 2 or 3: the least-slack edge from an S-vertex is tight now
                 v, w = deltaedge
                 assert label[inblossom[v]] == 1
-                assert dualvar[v] + dualvar[w] == 2 * weight[v * n + w]
+                assert dualvar[v] + dualvar[w] == 2 * adj[v][w]
                 queue.append(v)
 
         for v in mate:
@@ -562,9 +562,8 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
             if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
-    _verify_optimum(g.edges, weight, mate, dualvar, blossomdual, blossomparent)
+    matched = _verify_optimum(g.edges, adj, mate, dualvar, blossomdual, blossomparent)
     # the recursive helpers reach themselves through closure cells; unlink
     # them so the solver state is freed now, not at some later GC pass
     del assign_label, expand_blossom, augment_blossom
-    return Matching(frozenset(
-        i for i, (u, v, _) in enumerate(g.edges) if mate.get(u) == v))
+    return Matching(frozenset(matched))

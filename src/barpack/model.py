@@ -220,8 +220,10 @@ def instance_from_json(text: str) -> Instance:
     if not _is_int(version) or version != 1:
         raise MalformedJson(f"unsupported instance version {version!r}")
     denominator = payload.get("denominator")
-    if not _is_int(denominator) or denominator < 1:
-        raise MalformedJson("denominator must be a positive integer")
+    try:
+        check_denominator(denominator)
+    except ValueError as err:
+        raise MalformedJson(str(err)) from None
     raw = payload.get("charts")
     if not isinstance(raw, list):
         raise MalformedJson("charts must be a list of [a, b] pairs")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from barpack import packers, report
 from barpack.cli import _worker_count, main
-from barpack.errors import BarpackError, InfeasiblePacking, InvariantViolation
+from barpack.errors import BarpackError, InfeasiblePacking, InvariantViolation, MalformedJson
 from barpack.generators import gen_big, gen_general, gen_tight_family
 from barpack.model import (
     Packing,
@@ -43,6 +43,12 @@ class TestJsonRoundTrips:
     def test_instance_rejects_bad_version(self):
         with pytest.raises(ValueError):
             instance_from_json('{"version":2,"denominator":10,"charts":[[1,1]]}')
+
+    @pytest.mark.parametrize("denominator", ["0", "-3", "2.5", "true", '"7"', "null"])
+    def test_instance_rejects_a_bad_denominator(self, denominator):
+        # validate_instance's rule and message, raised as MalformedJson
+        with pytest.raises(MalformedJson, match="^denominator must be a positive integer$"):
+            instance_from_json(f'{{"version":1,"denominator":{denominator},"charts":[[1,1]]}}')
 
     def test_result_json_reload_and_recheck(self):
         inst = gen_tight_family(1, 100)

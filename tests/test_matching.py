@@ -65,9 +65,9 @@ def record_warm_start(monkeypatch):
         seen["seed"] = dict(mate)  # the solver goes on to update mate itself
         return mate
 
-    def recording_verify(edges, weight, mate, dualvar, blossomdual, blossomparent):
+    def recording_verify(edges, adj, mate, dualvar, blossomdual, blossomparent):
         seen.update(blossomdual=blossomdual, blossomparent=blossomparent)
-        verify(edges, weight, mate, dualvar, blossomdual, blossomparent)
+        return verify(edges, adj, mate, dualvar, blossomdual, blossomparent)
     monkeypatch.setattr(matching, "_top_weight_seed", recording_seed)
     monkeypatch.setattr(matching, "_verify_optimum", recording_verify)
     return seen
@@ -102,6 +102,25 @@ class TestMaxWeight:
         assert seen["blossomparent"][2] is b and seen["blossomdual"][b] > 0
         assert set(b.leaves()) == {0, 1, 2}
 
+    def test_least_slack_edges_leave_non_base_leaves(self):
+        # free vertex 0 grows the S-blossom {0, 5, 1}; 5 was a T-vertex, so only
+        # the blossom carries its S label. The next least-slack edges leave
+        # that blossom's other leaves: 5-3 to a free vertex (delta 2), then 1-2
+        # into the S-blossom around 2 (delta 3, both ends non-trivial)
+        g = graph(7, (2, 6, 8), (0, 5, 9), (0, 1, 3), (2, 4, 9), (3, 5, 10), (4, 6, 5),
+                  (2, 3, 9), (1, 5, 9), (1, 2, 6))
+        assert set(matching_pairs(g, max_weight_matching(g))) == {(0, 5), (2, 3), (4, 6)}
+
+    def test_stage_start_queues_every_leaf_of_a_blossom_root(self):
+        # the triangle 2-3-5 closes into an S-blossom around free vertex 3 and
+        # keeps dual 1 while 0-4 augments, so the next stage starts at that
+        # blossom with all its leaves queued; queueing only its base ends in
+        # the other weight-10 matching {0-4, 1-5, 2-3, 6-7}
+        g = graph(8, (6, 7, 4), (2, 6, 4), (3, 5, 3), (0, 4, 1), (2, 5, 4), (1, 5, 2),
+                  (1, 7, 2), (2, 3, 3))
+        assert set(matching_pairs(g, max_weight_matching(g))) == {
+            (0, 4), (1, 7), (2, 6), (3, 5)}
+
     def test_weight_beats_cardinality(self):
         g = graph(4, (0, 1, 5), (1, 2, 1), (2, 3, 1))
         m = max_weight_matching(g)
@@ -132,9 +151,12 @@ class TestMaxWeight:
 PATH = ((0, 1, 1), (1, 2, 1), (2, 3, 1))
 
 
-def weight_map(edges, n):
-    """The solver's symmetric weight map over edges on n vertices."""
-    return {k: w for u, v, w in edges for k in (u * n + v, v * n + u)}
+def adjacency(edges, n):
+    """The solver's adjacency map over edges on n vertices."""
+    adj = [{} for _ in range(n)]
+    for u, v, w in edges:
+        adj[u][v] = adj[v][u] = w
+    return adj
 
 
 UNNESTED = dict.fromkeys(range(4))
@@ -146,15 +168,16 @@ def triangle_blossom(edges):
     b = _Blossom()
     b.childs, b.edges = [0, 1, 2], edges
     triangle = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
-    return (triangle, weight_map(triangle, 3), {0: 1, 1: 0},
-            dict.fromkeys(range(3), 0), {b: 1}, {0: b, 1: b, 2: b, b: None})
+    return (triangle, adjacency(triangle, 3), {0: 1, 1: 0},
+            [0] * 3, {b: 1}, {0: b, 1: b, 2: b, b: None})
 
 
 class TestVerifyOptimum:
     def test_accepts_an_optimum(self):
-        _verify_optimum(PATH, weight_map(PATH, 4), PERFECT, dict.fromkeys(range(4), 1), {},
-                        UNNESTED)
-        _verify_optimum(*triangle_blossom([(2, 0), (0, 1), (1, 2)]))
+        # and returns the matched edges' ids
+        assert _verify_optimum(PATH, adjacency(PATH, 4), PERFECT, [1] * 4, {},
+                               UNNESTED) == [0, 2]
+        assert _verify_optimum(*triangle_blossom([(2, 0), (0, 1), (1, 2)])) == [0]
 
     @pytest.mark.parametrize("mate, duals, message", [
         ({1: 2, 2: 1}, (1, 1, 1, 1), "free vertex 0"),  # not a maximum matching
@@ -165,8 +188,7 @@ class TestVerifyOptimum:
     ])
     def test_rejects_a_non_optimum(self, mate, duals, message):
         with pytest.raises(InvariantViolation, match=message):
-            _verify_optimum(PATH, weight_map(PATH, 4), mate, dict(enumerate(duals)), {},
-                            UNNESTED)
+            _verify_optimum(PATH, adjacency(PATH, 4), mate, list(duals), {}, UNNESTED)
 
     def test_rejects_a_blossom_that_is_not_full(self):
         with pytest.raises(InvariantViolation, match="blossom"):
@@ -180,7 +202,7 @@ class TestVerifyOptimum:
             [(2, 0), (0, 1), (1, 2)])
         edges = [*triangle, edge]
         with pytest.raises(InvariantViolation, match=r"\(\d, \d\) has negative slack -2"):
-            _verify_optimum(edges, weight_map(edges, 4), mate, {**duals, 3: 0},
+            _verify_optimum(edges, adjacency(edges, 4), mate, [*duals, 0],
                             blossomdual, {**parent, 3: None})
 
     @pytest.mark.parametrize("inner_dual, weight_32, ok", [
@@ -192,12 +214,12 @@ class TestVerifyOptimum:
         inner.childs, inner.edges = [0, 1, 2], [(2, 0), (0, 1), (1, 2)]
         outer.childs, outer.edges = [inner, 3, 4], [(2, 3), (3, 4), (4, 2)]
         edges = [(0, 1, 2), (1, 2, 2), (0, 2, 2), (3, 2, weight_32), (3, 4, 1), (2, 4, 1)]
-        args = (edges, weight_map(edges, 5), {0: 1, 1: 0, 3: 4, 4: 3},
-                dict.fromkeys(range(5), 0), {inner: inner_dual, outer: 1},
+        args = (edges, adjacency(edges, 5), {0: 1, 1: 0, 3: 4, 4: 3},
+                [0] * 5, {inner: inner_dual, outer: 1},
                 {0: inner, 1: inner, 2: inner, 3: outer, 4: outer,
                  inner: outer, outer: None})
         if ok:
-            _verify_optimum(*args)
+            assert _verify_optimum(*args) == [0, 4]
         else:
             with pytest.raises(InvariantViolation, match="negative slack -2"):
                 _verify_optimum(*args)
@@ -216,8 +238,8 @@ class TestVerifyOptimum:
             "from barpack.matching import _verify_optimum",
             "try:",
             "    _verify_optimum(((0, 1, 1), (1, 2, 1), (2, 3, 1)),",
-            "                    {0 * 4 + 1: 1, 1 * 4 + 2: 1, 2 * 4 + 3: 1}, {1: 2, 2: 1},",
-            "                    dict.fromkeys(range(4), 1), {}, dict.fromkeys(range(4)))",
+            "                    [{1: 1}, {0: 1, 2: 1}, {1: 1, 3: 1}, {2: 1}], {1: 2, 2: 1},",
+            "                    [1] * 4, {}, dict.fromkeys(range(4)))",
             "except InvariantViolation:",
             "    print('raised')",
         ])
@@ -326,7 +348,8 @@ class TestClassicGraphs:
 
     def test_every_solver_line_runs(self):
         # the classic graphs plus the empty graph reach every line of the
-        # solver and its closures, the rare delta-4 and blossom-walk ones too
+        # solver and its closures, the rare delta-4 and blossom-walk ones too,
+        # and the stage start's branch for a free vertex inside a blossom
         codes, stack = set(), [matching._blossom_matching.__code__]
         while stack:
             code = stack.pop()
@@ -374,6 +397,7 @@ class TestGraphValidation:
         (3, ((0, 1, 1), (1, 3, 1)), r"edge \(1, 3\) out of vertex range"),
         (3, ((0, 1, 1), (1, 2, 1.5)), "weight 1.5 must be a non-negative integer"),
         (3, ((0, 2, 1), (1, 2, 1), (2, 0, 1)), r"duplicate edge \(0, 2\)"),
+        (3, ((0, 1, 1), (1, 0, 1)), r"duplicate edge \(0, 1\)"),
         (3, ((0.5, 1, 1),), r"edge \(0.5, 1\) has a non-integer vertex id"),
         (3, ((True, 2, 1),), r"edge \(True, 2\) has a non-integer vertex id"),
         (3, ((0, 1, True),), "weight True must be a non-negative integer"),

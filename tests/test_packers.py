@@ -385,6 +385,23 @@ class TestCorpus:
             assert matching_weight(g, cold) == matching_weight(g, seeded)
             assert cold.edge_indices == seeded.edge_indices
 
+    def test_verified_ids_are_the_mate_filter_ids(self, monkeypatch):
+        # _verify_optimum collects the matched edge ids in its slackness
+        # pass; on every corpus graph, seed solves included, they must be the
+        # ids that a filter for mate.get(u) == v over the edges picks
+        verify, checked = matching._verify_optimum, []
+
+        def compare(edges, adj, mate, *duals):
+            ids = verify(edges, adj, mate, *duals)
+            assert ids == [i for i, (u, v, _) in enumerate(edges) if mate.get(u) == v]
+            checked.append(ids)
+            return ids
+        monkeypatch.setattr(matching, "_verify_optimum", compare)
+        for _, inst in corpus():
+            pack_matching(inst)
+            pack_weighted_matching(inst)
+        assert len(checked) == 167 + 2 * 139  # unit, weighted and seed solves
+
 
 class TestInvariantChecks:
     def test_telescoping_length_checked_without_assert(self, monkeypatch):
