@@ -68,7 +68,7 @@ def noninc_sweep():
     t0 = time.monotonic()
     cases = []
     for seed in range(SWEEP_SIZE):
-        inst = gen_big_nonincreasing(8, seed)
+        inst = gen_big_nonincreasing(10, seed)
         run = pack_matching(inst)
         res = solve_exact(inst)
         assert res.proven
@@ -82,7 +82,7 @@ def big_sweep():
     t0 = time.monotonic()
     cases = []
     for seed in range(SWEEP_SIZE):
-        inst = gen_big(8, seed)
+        inst = gen_big(10, seed)
         run = pack_weighted_matching(inst)
         res = solve_exact(inst)
         assert res.proven

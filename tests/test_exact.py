@@ -1,21 +1,31 @@
 """Exact solver, lower bounds, disassembly, and the boolean-model export."""
 
+import gc
 import random
 
 import pytest
 
+from barpack import exact
 from barpack.errors import InfeasiblePacking, JmaxTooSmall, NotBigInstance
 from barpack.exact import (
+    DEFAULT_NODE_BUDGET,
+    ExactResult,
     disassemble,
     export_blp,
     lower_bound,
     solve_exact,
 )
-from barpack.generators import gen_big, gen_big_nonincreasing, gen_tight_family
+from barpack.generators import (
+    gen_big,
+    gen_big_nonincreasing,
+    gen_general,
+    gen_tight_family,
+)
 from barpack.model import (
     BarChart,
     Instance,
     Packing,
+    compact,
     is_feasible,
     length,
     validate_instance,
@@ -42,6 +52,118 @@ def naive_opt(inst):
 
     rec(0)
     return best
+
+
+def dfs_reference(inst, budget=DEFAULT_NODE_BUDGET):
+    """The depth-first search over start cells that solve_exact used before
+    its left-to-right search, kept verbatim as a differential reference."""
+    seed = pack_weighted_matching(inst)
+    best_len = seed.length
+    best_packing = seed.packing
+    # early exit only on the elementary mass bound, so optimality claims
+    # about big instances are established by search, not assumed
+    area_lb = max(-(-inst.total_mass() // inst.denominator), 2)
+    if best_len == area_lb:
+        return ExactResult(best_len, best_packing, 0, True)
+
+    denom = inst.denominator
+    n = inst.n
+    # heavier charts first: their big bars block cells early
+    order = sorted(range(n), key=lambda i: (-max(inst.charts[i].a, inst.charts[i].b),
+                                            -(inst.charts[i].a + inst.charts[i].b),
+                                            inst.charts[i].a, inst.charts[i].b, i))
+    heights = [(inst.charts[i].a, inst.charts[i].b) for i in order]
+    # symmetry: identical charts take non-decreasing start cells
+    prev_same = [-1] * n
+    last_at = {}
+    for pos, (a, b) in enumerate(heights):
+        if (a, b) in last_at:
+            prev_same[pos] = last_at[(a, b)]
+        last_at[(a, b)] = pos
+
+    # a cell loaded above 1/2 cannot take any further bar above 1/2
+    def is_tall(load):
+        return 2 * load > denom
+
+    rem_tall = [0] * (n + 1)
+    for pos in range(n - 1, -1, -1):
+        a, b = heights[pos]
+        rem_tall[pos] = rem_tall[pos + 1] + (1 if is_tall(a) else 0) + (1 if is_tall(b) else 0)
+
+    max_cell = best_len + 1
+    loads = [0] * (max_cell + 2)
+    starts = [0] * n
+    nodes = 0
+    out_of_budget = False
+    ones = 0  # charts currently starting at cell 1
+
+    def search(pos, occ, tall_cells):
+        nonlocal best_len, best_packing, nodes, out_of_budget, ones
+        if pos == n:
+            if ones == 0:
+                return  # a shifted copy; its compacted twin is found elsewhere
+            best_len = occ
+            by_id = [0] * n
+            for p, cid in enumerate(order):
+                by_id[cid] = starts[p]
+            best_packing = Packing(tuple(by_id))
+            return
+        if out_of_budget:
+            return
+        a, b = heights[pos]
+        lo = 1 if prev_same[pos] < 0 else starts[prev_same[pos]]
+        hi = best_len - 1
+        if pos == n - 1 and ones == 0:
+            hi = min(hi, 1)
+        s = lo
+        while s <= hi:
+            la, lb2 = loads[s], loads[s + 1]
+            if la + a <= denom and lb2 + b <= denom:
+                new_occ = occ + (1 if la == 0 else 0) + (1 if lb2 == 0 else 0)
+                new_tall = tall_cells
+                if is_tall(la + a) and not is_tall(la):
+                    new_tall += 1
+                if is_tall(lb2 + b) and not is_tall(lb2):
+                    new_tall += 1
+                if max(new_occ, new_tall + rem_tall[pos + 1]) < best_len:
+                    nodes += 1
+                    if nodes > budget:
+                        out_of_budget = True
+                        return
+                    loads[s] = la + a
+                    loads[s + 1] = lb2 + b
+                    starts[pos] = s
+                    if s == 1:
+                        ones += 1
+                    search(pos + 1, new_occ, new_tall)
+                    if s == 1:
+                        ones -= 1
+                    loads[s] = la
+                    loads[s + 1] = lb2
+                    hi = best_len - 1
+            s += 1
+
+    search(0, 0, 0)
+    return ExactResult(best_len, compact(inst, best_packing), nodes,
+                       not out_of_budget)
+
+
+def differential_sweep():
+    """Seeded instances on which solve_exact must agree with dfs_reference:
+    the three random families at n <= 7, small denominators (many equal
+    charts) and the tight family."""
+    cases = []
+    for gen in (gen_big, gen_general, gen_big_nonincreasing):
+        for n in range(1, 8):
+            for seed in range(12 if n < 7 else 6):
+                cases.append(gen(n, seed))
+    for gen in (gen_big, gen_general):
+        for denominator in (4, 6, 10):
+            for n in range(2, 8):
+                for seed in range(4):
+                    cases.append(gen(n, 100 + seed, denominator))
+    cases.extend(gen_tight_family(k, 100) for k in (1, 2, 3))
+    return cases
 
 
 class TestLowerBound:
@@ -119,6 +241,55 @@ class TestSolveExact:
             res = solve_exact(inst)
             assert res.proven
             assert res.opt_length >= y - (n - 1)
+
+    def test_matches_the_start_cell_dfs(self):
+        for inst in differential_sweep():
+            res, ref = solve_exact(inst), dfs_reference(inst)
+            assert (res.opt_length, res.proven) == (ref.opt_length, ref.proven), inst
+            assert length(inst, res.packing) == res.opt_length
+
+    def test_memo_only_accelerates(self, monkeypatch):
+        # with no memo entries the search cuts less, never differently
+        monkeypatch.setattr(exact, "MEMO_CAP", 0)
+        for inst in differential_sweep():
+            res = solve_exact(inst)
+            assert res.proven
+            assert res.opt_length == dfs_reference(inst).opt_length, inst
+
+    @pytest.mark.parametrize("charts, denominator, opt", [
+        ([(1, 2), (1, 2), (2, 2)], 4, 3),
+        ([(3, 2), (1, 2), (1, 2)], 4, 3),
+        ([(1, 3), (2, 4), (6, 7)], 10, 3),
+        ([(1, 2), (4, 4), (1, 2), (3, 2)], 4, 5),
+    ])
+    def test_open_cell_stays_open_while_an_a_bar_fits(self, charts, denominator, opt):
+        # e.g. (2, 2) then (1, 2) one cell later loads that cell to 3/4:
+        # no b bar fits there any more, but the other (1, 2) still starts
+        # on it, so the cell must not be closed
+        inst = Instance(tuple(BarChart(i, a, b) for i, (a, b) in enumerate(charts)),
+                        denominator)
+        res = solve_exact(inst)
+        assert res.proven
+        assert res.opt_length == naive_opt(inst) == opt
+
+    def test_leaves_no_reference_cycles(self):
+        # the recursive search and its memo must be freed on return, not
+        # whenever the cyclic collector next runs
+        inst = gen_tight_family(2, 100)
+        gc.collect()
+        gc.disable()
+        try:
+            res = solve_exact(inst)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert res.proven and res.nodes_explored > 0
+
+    def test_proves_big_nonincreasing_n12(self):
+        for seed in range(10):
+            res = solve_exact(gen_big_nonincreasing(12, seed), budget=2_000_000)
+            assert res.proven, seed
+            assert res.opt_length >= 12
 
 
 def rounds_cardinalities(rounds):
