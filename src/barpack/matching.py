@@ -3,10 +3,10 @@
 The weighted solver is the classic primal-dual blossom method (Galil's
 survey describes it; Ed Rothberg's C code and its well-known Python ports
 fix the bookkeeping conventions used here). Maximum-cardinality matching
-is the same solver on unit weights, where each matched edge adds one to
-the objective and every edge stays tight, so it skips the tightness test
-and the delta 2, 3 and 4 scans. A brute-force enumerator over all matchings
-doubles as the independent test oracle.
+is the same solver on unit weights. Whenever all weights are equal every
+edge stays tight, so the solver skips the delta 2, 3 and 4 scans and the
+warm start. A brute-force enumerator over all matchings doubles as the
+independent test oracle.
 
 All arithmetic is integer; with integer weights the optimum is verified
 against the dual solution on every call, in the pass that reads back the
@@ -176,21 +176,18 @@ def _verify_optimum(edges, adj, mate, dualvar, blossomdual, blossomparent):
     ids. Raises InvariantViolation, so it also runs under python -O."""
     if min(dualvar) < 0 or min(blossomdual.values(), default=0) < 0:
         raise InvariantViolation("matching solver left a negative dual")
+    # held[b]: the positive-dual blossoms among b and its ancestors, parents first
+    held = {None: frozenset()}
+    for b in reversed(blossomdual):
+        up = held[blossomparent[b]]
+        held[b] = up | {b} if blossomdual[b] else up
     matched = []
     for i, (u, v, _) in enumerate(edges):
         s = dualvar[u] + dualvar[v] - 2 * adj[u][v]
         if blossomparent[u] is not None and blossomparent[v] is not None:
             # each blossom holding both ends adds its dual; a top-level end is in none
-            ancestors = set()
-            b = blossomparent[u]
-            while b is not None:
-                ancestors.add(b)
-                b = blossomparent[b]
-            b = blossomparent[v]
-            while b is not None:
-                if b in ancestors:
-                    s += 2 * blossomdual[b]
-                b = blossomparent[b]
+            for b in held[blossomparent[u]] & held[blossomparent[v]]:
+                s += 2 * blossomdual[b]
         if s < 0:
             raise InvariantViolation(f"edge ({u}, {v}) has negative slack {s}")
         if mate.get(u) == v or mate.get(v) == u:
@@ -233,18 +230,19 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     perfbench's 16 mw-big solves (gen_big(300), seed 1) run 546 stages but
     only 16 delta-3 steps and no delta-2 or delta-4 step.
 
-    Under unit weights every edge stays tight until the final delta-1 stop,
-    so the tightness test and the delta 2, 3 and 4 scans are skipped. Vertex
-    duals start at 1 and change only at a delta step; every blossom forms
-    S-labelled with dual 0 and its stage's end expands it, so none outlives
-    its stage or turns T. Each scanned edge thus has slack 1 + 1 - 2 = 0, a
-    drained queue leaves no S-S edge between top-level blossoms and no
+    Under uniform weights (all equal, or all read as 1 if unit) every edge
+    stays tight until the final delta-1 stop, so the delta 2-4 scans are
+    skipped. Vertex duals start at the weight and change only at a delta step;
+    every blossom forms S-labelled with dual 0 and its stage's end expands it,
+    so none outlives its stage or turns T. Each scanned edge thus has slack 0,
+    a drained queue leaves no S-S edge between top-level blossoms and no
     S-vertex beside an unlabelled one, and the first delta step is delta 1.
 
     Otherwise mate starts as a matching on the top-weight edges (Galil's warm
-    start): every vertex dual starts at top, so an edge's doubled slack
-    2 * top - 2 * w is 0 exactly on them, no blossom exists yet and every free
-    vertex holds the one minimal dual. _verify_optimum proves any seed's result.
+    start; on uniform weights it would be the whole solve): every vertex dual
+    starts at top, so an edge's doubled slack 2 * top - 2 * w is 0 exactly on
+    them, no blossom exists yet and every free vertex holds the one minimal
+    dual. _verify_optimum proves any seed's result.
     """
     adj = _index(g, unit)
     if not g.edges:
@@ -252,8 +250,9 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
 
     gnodes = range(g.num_vertices)
 
-    top = 1 if unit else max(w for _, _, w in g.edges)
-    mate = {} if unit else _top_weight_seed(g, top)
+    weights = {1} if unit else {w for _, _, w in g.edges}
+    top, uniform = max(weights), len(weights) == 1
+    mate = {} if uniform else _top_weight_seed(g, top)
     label = {}
     labeledge = {}
     inblossom = list(gnodes)
@@ -473,7 +472,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 assert label[inblossom[v]] == 1
                 for w, wt in adj[v].items():
                     bv, bw = inblossom[v], inblossom[w]
-                    if bv == bw or (not unit and dualvar[v] + dualvar[w] > 2 * wt):
+                    if bv == bw or dualvar[v] + dualvar[w] > 2 * wt:
                         continue  # inside one blossom, or not tight
                     if label.get(bw) is None:
                         # free vertex: becomes T, its mate becomes S
@@ -499,7 +498,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
             # delta1: minimum vertex dual (stopping criterion)
             delta, deltatype = min(dualvar), 1
 
-            if not unit:
+            if not uniform:
                 # delta2: least slack from an S-vertex to a free vertex
                 for w in gnodes:
                     if label.get(inblossom[w]) is None:

@@ -100,22 +100,21 @@ def _round_stats(graph: UnionGraph, chosen, savings) -> RoundStats:
 def _run_rounds(inst: Instance, weighted: bool, forced_first=None) -> PackResult:
     charts = [chart_from_bars(c) for c in inst.charts]
     rounds = []
-    first_round = True
+    if forced_first is not None:
+        # checked even when a single chart leaves nothing to merge
+        graph = build_graph(charts, inst.denominator, weighted)
+        chosen = _validate_forced(graph, forced_first)
+        if chosen:
+            charts, savings = _merge_round(charts, graph, chosen, inst.denominator)
+            rounds.append(_round_stats(graph, chosen, savings))
     while len(charts) > 1:
         graph = build_graph(charts, inst.denominator, weighted)
-        if first_round and forced_first is not None:
-            first_round = False
-            chosen = _validate_forced(graph, forced_first)
-            if not chosen:
-                continue
-        else:
-            first_round = False
-            if not graph.edges:
-                break
-            m = max_weight_matching(graph) if weighted else max_cardinality_matching(graph)
-            if not m.edge_indices:
-                break
-            chosen = sorted(m.edge_indices)
+        if not graph.edges:
+            break
+        m = max_weight_matching(graph) if weighted else max_cardinality_matching(graph)
+        if not m.edge_indices:
+            break
+        chosen = sorted(m.edge_indices)
         charts, savings = _merge_round(charts, graph, chosen, inst.denominator)
         rounds.append(_round_stats(graph, chosen, savings))
     return _finish(inst, charts, rounds)

@@ -285,6 +285,17 @@ class TestSolveExact:
             gc.enable()
         assert res.proven and res.nodes_explored > 0
 
+    @pytest.mark.parametrize("gen, seed, opt, nodes", [
+        (gen_big_nonincreasing, 0, 16, 6025),
+        (gen_big_nonincreasing, 2, 17, 4911),
+        (gen_general, 0, 14, 1850),
+    ])
+    def test_node_count_is_pinned(self, gen, seed, opt, nodes):
+        # a weaker bound or memo still proves the optimum, only with more
+        # nodes; a change to the search updates these counts on purpose
+        res = solve_exact(gen(12, seed))
+        assert (res.opt_length, res.proven, res.nodes_explored) == (opt, True, nodes)
+
     def test_proves_big_nonincreasing_n12(self):
         for seed in range(10):
             res = solve_exact(gen_big_nonincreasing(12, seed), budget=2_000_000)

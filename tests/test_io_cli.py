@@ -188,6 +188,16 @@ class TestCli:
             assert main(["solve", str(path), "--algo", algo]) == 0
             assert "L=2" in capsys.readouterr().out
 
+    def test_single_chart_forced_pairing_is_checked(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(instance_to_json(validate_instance([(0.5, 0.5)], 10)))
+        assert main(["solve", str(path), "--algo", "mw", "--force-first", "0-5"]) == 2
+        outerr = capsys.readouterr()
+        assert outerr.out == "" and "charts 0 and 5 admit no union" in outerr.err
+        assert main(["compare", str(path), "--algos", "mw", "--force-first", "3-3"]) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1]
+        assert row.startswith("one.json,1,mw,,") and "charts 3 and 3 admit no union" in row
+
     def test_render_roundtrip(self, tight_instance_file, tmp_path, capsys):
         res = tmp_path / "res.json"
         svg = tmp_path / "out.svg"

@@ -102,6 +102,15 @@ class TestMaxWeight:
         assert seen["blossomparent"][2] is b and seen["blossomdual"][b] > 0
         assert set(b.leaves()) == {0, 1, 2}
 
+    def test_uniform_weights_take_no_seed(self, monkeypatch):
+        # every edge weighs 2, so each is tight from the start and a seed
+        # would be the whole solve
+        seen = record_warm_start(monkeypatch)
+        g = graph(5, (0, 1, 2), (1, 2, 2), (2, 0, 2), (2, 3, 2), (3, 4, 2))
+        m = max_weight_matching(g)
+        assert "seed" not in seen and "blossomdual" in seen
+        assert m == max_cardinality_matching(g) and matching_weight(g, m) == 4
+
     def test_least_slack_edges_leave_non_base_leaves(self):
         # free vertex 0 grows the S-blossom {0, 5, 1}; 5 was a T-vertex, so only
         # the blossom carries its S label. The next least-slack edges leave
@@ -223,6 +232,43 @@ class TestVerifyOptimum:
         else:
             with pytest.raises(InvariantViolation, match="negative slack -2"):
                 _verify_optimum(*args)
+
+    @pytest.mark.parametrize("weight, ok", [(1, True), (2, False)])
+    def test_a_zero_dual_blossom_inside_a_positive_one_adds_nothing(self, weight, ok):
+        # the triangle 0-1-2 keeps dual 0 inside a blossom of dual 1 with 3
+        # and 4, so every edge gets the outer dual alone: enough for weight 1
+        inner, outer = _Blossom(), _Blossom()
+        inner.childs, inner.edges = [0, 1, 2], [(2, 0), (0, 1), (1, 2)]
+        outer.childs, outer.edges = [inner, 3, 4], [(2, 3), (3, 4), (4, 2)]
+        edges = [(0, 1, weight), (1, 2, 1), (0, 2, 1), (3, 2, 1), (3, 4, 1), (2, 4, 1)]
+        args = (edges, adjacency(edges, 5), {0: 1, 1: 0, 3: 4, 4: 3},
+                [0] * 5, {inner: 0, outer: 1},
+                {0: inner, 1: inner, 2: inner, 3: outer, 4: outer,
+                 inner: outer, outer: None})
+        if ok:
+            assert _verify_optimum(*args) == [0, 4]
+        else:
+            with pytest.raises(InvariantViolation, match="negative slack -2"):
+                _verify_optimum(*args)
+
+    def test_parent_lookups_stay_linear_under_deep_nesting(self):
+        # a K6 perfect matching inside 1,000 nested zero-dual blossoms (the
+        # innermost holds all six vertices): checking every edge against the
+        # blossoms it lies in must not walk the whole nest once per edge
+        class CountingDict(dict):
+            lookups = 0
+
+            def __getitem__(self, key):
+                CountingDict.lookups += 1
+                return super().__getitem__(key)
+        k6 = [(u, v, 1) for u in range(6) for v in range(u + 1, 6)]
+        nest = [_Blossom() for _ in range(1000)]
+        parent = CountingDict({v: nest[0] for v in range(6)})
+        parent.update(zip(nest, [*nest[1:], None]))
+        ids = _verify_optimum(k6, adjacency(k6, 6), {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4},
+                              [1] * 6, dict.fromkeys(nest, 0), parent)
+        assert ids == [0, 9, 14]
+        assert CountingDict.lookups <= 3 * (6 + len(k6) + len(nest))
 
     def test_runs_on_every_solve(self, monkeypatch):
         def refuse(*args):
@@ -421,8 +467,8 @@ def random_graph(rng, max_vertices=10, weights=(1, 2)):
 
 class TestOracleEquivalence:
     # weights 1-100 reach delta 4 and the mid-stage blossom walk, which
-    # the union graph's weights {1, 2} rarely do; under uniform weights the
-    # warm-start seed is already a maximum matching
+    # the union graph's weights {1, 2} rarely do; uniform weights take the
+    # cardinality solver's path
     @pytest.mark.parametrize("weights", [(1, 2), (1, 2, 3), (3,), range(1, 101)],
                              ids=["1-2", "1-3", "3", "1-100"])
     def test_small_sweep(self, weights):
@@ -439,19 +485,16 @@ class TestOracleEquivalence:
             assert mc.cardinality() == brute_force_matching(
                 g, "cardinality").cardinality()
             if len(weights) == 1:
-                # the seed is the unit solve, and no augmenting path is left
+                # the same solve up to the scale of the duals
                 assert mw == mc
 
-    def test_unit_weights_agree_across_solvers(self, monkeypatch):
-        # with every weight 1 the weighted solver runs the tightness test and
-        # the delta 2, 3 and 4 scans the cardinality solver skips, and must
-        # pick the same edges; its seed would be the unit solve itself, so it
-        # starts cold here
-        monkeypatch.setattr(matching, "_top_weight_seed", lambda g, top: {})
+    def test_unit_weights_agree_across_solvers(self):
+        # with one weight on every edge, whatever its value, the weighted
+        # solver must pick the edges the cardinality solver picks
         rng = random.Random(7)
         for _ in range(400):
-            n, density = rng.randint(0, 30), rng.random()
-            edges = [(u, v, 1) if rng.random() < 0.5 else (v, u, 1)
+            n, density, w = rng.randint(0, 30), rng.random(), rng.choice((1, 2, 7))
+            edges = [(u, v, w) if rng.random() < 0.5 else (v, u, w)
                      for u in range(n) for v in range(u + 1, n) if rng.random() < density]
             rng.shuffle(edges)
             g = Graph(n, tuple(edges))

@@ -147,6 +147,14 @@ class TestForcedFirstMatching:
         with pytest.raises(NotAMatching):
             pack_forced_first_matching(inst, [(0, 1)])
 
+    @pytest.mark.parametrize("pairs", [[(0, 5)], [(3, 3)], [(0, 0)]])
+    def test_single_chart_checks_the_pairing(self, pairs):
+        # one chart leaves no round to run, but a pairing still names charts
+        inst = validate_instance([(0.5, 0.5)], 10)
+        with pytest.raises(NotAMatching):
+            pack_forced_first_matching(inst, pairs)
+        assert pack_forced_first_matching(inst, []).length == 2
+
     def test_forced_equals_free_when_unique(self):
         inst = validate_instance([(0.4, 0.6), (0.6, 0.4)], 10)
         forced = pack_forced_first_matching(inst, [(0, 1)])
@@ -351,20 +359,19 @@ class TestCorpus:
         assert count == len(CORPUS_DIGESTS)
 
     def test_union_graphs_solve_alike_under_unit_and_weighted_code(self, monkeypatch):
-        # every pack_matching graph has unit weights, so the weighted solver
-        # runs the code the cardinality solver's unit path skips; it starts
-        # cold, since its seed would be the unit solve itself
-        monkeypatch.setattr(matching, "_top_weight_seed", lambda g, top: {})
+        # a pack_weighted_matching graph whose edges all save the same number
+        # of cells must get the edges the cardinality solver picks
         graphs = []
 
         def record(g):
             graphs.append(g)
-            return max_cardinality_matching(g)
-        monkeypatch.setattr(packers, "max_cardinality_matching", record)
+            return max_weight_matching(g)
+        monkeypatch.setattr(packers, "max_weight_matching", record)
         for _, inst in corpus():
-            pack_matching(inst)
-        assert len(graphs) == 167
-        for g in graphs:
+            pack_weighted_matching(inst)
+        uniform = [g for g in graphs if len({w for _, _, w in g.edges}) == 1]
+        assert (len(graphs), len(uniform)) == (139, 84)
+        for g in uniform:
             assert max_cardinality_matching(g).edge_indices == \
                 max_weight_matching(g).edge_indices
 
@@ -400,7 +407,9 @@ class TestCorpus:
         for _, inst in corpus():
             pack_matching(inst)
             pack_weighted_matching(inst)
-        assert len(checked) == 167 + 2 * 139  # unit, weighted and seed solves
+        # unit and weighted solves, and a seed solve for each of the 55
+        # weighted graphs whose weights differ
+        assert len(checked) == 167 + 139 + 55
 
 
 class TestInvariantChecks:
