@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,7 @@ from barpack.packers import (
     realize,
 )
 from barpack.unions import chart_from_bars, merge
+from test_matching import random_graph
 
 
 def check_run(inst, result, matching_based=True):
@@ -375,22 +377,27 @@ class TestCorpus:
             assert max_cardinality_matching(g).edge_indices == \
                 max_weight_matching(g).edge_indices
 
-    def test_weighted_graphs_solve_alike_seeded_and_cold(self, monkeypatch):
-        # the warm start leaves every pack_weighted_matching choice unchanged
-        solved = []
+    def test_edge_ids_are_pinned(self, monkeypatch):
+        # the edge ids both solvers pick on the corpus's weighted union graphs
+        # and on 2,100 small random graphs; a solver change that returns
+        # another optimum anywhere changes the digest
+        graphs = []
 
         def record(g):
-            solved.append((g, max_weight_matching(g)))
-            return solved[-1][1]
+            graphs.append(g)
+            return max_weight_matching(g)
         monkeypatch.setattr(packers, "max_weight_matching", record)
         for _, inst in corpus():
             pack_weighted_matching(inst)
-        assert len(solved) == 139
-        monkeypatch.setattr(matching, "_top_weight_seed", lambda g, top: {})
-        for g, seeded in solved:
-            cold = max_weight_matching(g)
-            assert matching_weight(g, cold) == matching_weight(g, seeded)
-            assert cold.edge_indices == seeded.edge_indices
+        assert len(graphs) == 139
+        rng = random.Random(2024)
+        for weights in (range(1, 101), (1, 2), range(1, 6)):
+            graphs += [random_graph(rng, 16, weights) for _ in range(700)]
+        digest = hashlib.sha256()
+        for g in graphs:
+            for solve in (max_weight_matching, max_cardinality_matching):
+                digest.update(repr(sorted(solve(g).edge_indices)).encode())
+        assert digest.hexdigest()[:16] == "89b0c622ce6f50dc"
 
     def test_verified_ids_are_the_mate_filter_ids(self, monkeypatch):
         # _verify_optimum collects the matched edge ids in its slackness
