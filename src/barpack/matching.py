@@ -4,9 +4,9 @@ The weighted solver is the classic primal-dual blossom method (Galil's
 survey describes it; Ed Rothberg's C code and its well-known Python ports
 fix the bookkeeping conventions used here). Maximum-cardinality matching
 is the same solver on unit weights. Whenever all weights are equal every
-edge stays tight, so the solver skips the delta 2, 3 and 4 scans and the
-warm start. A brute-force enumerator over all matchings doubles as the
-independent test oracle.
+edge stays tight, so the solver skips the delta 2, 3 and 4 scans and scans
+the adjacency map as is, with no tight-edge lists. A brute-force enumerator
+over all matchings doubles as the independent test oracle.
 
 All arithmetic is integer; with integer weights the optimum is verified
 against the dual solution on every call, in the pass that reads back the
@@ -181,35 +181,36 @@ def _verify_optimum(edges, adj, mate, dualvar, blossomdual, blossomparent):
     for b in reversed(blossomdual):
         up = held[blossomparent[b]]
         held[b] = up | {b} if blossomdual[b] else up
+    # by vertex: its mate (None if free) and the positive-dual blossoms holding it
+    mates = [mate.get(v) for v in range(len(dualvar))]
+    inside = [held[blossomparent[v]] for v in range(len(dualvar))]
     matched = []
     for i, (u, v, _) in enumerate(edges):
         s = dualvar[u] + dualvar[v] - 2 * adj[u][v]
-        if blossomparent[u] is not None and blossomparent[v] is not None:
-            # each blossom holding both ends adds its dual; a top-level end is in none
-            for b in held[blossomparent[u]] & held[blossomparent[v]]:
+        if inside[u] and inside[v]:
+            # each blossom holding both ends adds its dual
+            for b in inside[u] & inside[v]:
                 s += 2 * blossomdual[b]
         if s < 0:
             raise InvariantViolation(f"edge ({u}, {v}) has negative slack {s}")
-        if mate.get(u) == v or mate.get(v) == u:
-            if mate.get(u) != v or mate.get(v) != u or s != 0:
+        if mates[u] == v or mates[v] == u:
+            if mates[u] != v or mates[v] != u or s != 0:
                 raise InvariantViolation(f"matched edge ({u}, {v}) is one-sided or not tight")
             matched.append(i)
     for v, dual in enumerate(dualvar):
-        if v not in mate and dual != 0:
+        if mates[v] is None and dual != 0:
             raise InvariantViolation(f"free vertex {v} has dual {dual}")
     for b, dual in blossomdual.items():
         if dual > 0 and (len(b.edges) % 2 == 0 or any(
-                mate.get(u) != v or mate.get(v) != u for u, v in b.edges[1::2])):
+                mates[u] != v or mates[v] != u for u, v in b.edges[1::2])):
             raise InvariantViolation("a blossom with positive dual is not full")
     return matched
 
 
-def _top_weight_seed(g: Graph, top: int) -> dict:
-    """Mates of a maximum-cardinality matching of g's edges of weight top."""
-    top_edges = tuple(e for e in g.edges if e[2] == top)
-    m = _blossom_matching(Graph(g.num_vertices, top_edges), True)
-    pairs = [top_edges[i][:2] for i in m.edge_indices]
-    return {**dict(pairs), **{v: u for u, v in pairs}}
+def _tight_lists(adj, dualvar):
+    """For each v, its neighbours w with dualvar[v] + dualvar[w] <= 2 * weight."""
+    return [[w for w, wt in nbrs.items() if dv + dualvar[w] <= 2 * wt]
+            for dv, nbrs in zip(dualvar, adj)]
 
 
 def _blossom_matching(g: Graph, unit: bool) -> Matching:
@@ -224,43 +225,44 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     keys blossoms stays in dicts: their order fixes the delta-3 and end-of-stage
     scans, and with them the weighted tie-breaks.
 
-    Deltas 2 and 3 come from a scan of the edges at each dual step, not from
-    Galil's least-slack cache: a step costs O(m), not O(n), so a solve is
-    O(n^2 m) at worst, not O(n^3). Dual steps are rare after the warm start:
-    perfbench's 16 mw-big solves (gen_big(300), seed 1) run 546 stages but
-    only 16 delta-3 steps and no delta-2 or delta-4 step.
+    The scan reads tight[v], v's neighbours w with dualvar[v] + dualvar[w] <=
+    2 * weight in adj order (<=: an edge inside a blossom can have negative
+    slack; the scan skips it by its blossom). Duals change only at a dual step,
+    which rebuilds the lists unless it ends the solve. Deltas 2 and 3 come from
+    a scan of the edges, not from Galil's least-slack cache: a step and a
+    rebuild cost O(m), so a solve is O(n^2 m) at worst, not O(n^3). Dual steps
+    are rare: perfbench's 16 mw-big solves (gen_big(300), seed 1) run 1,485
+    stages, 16 delta-3 steps and no delta-2 or delta-4 step, and read 335k
+    tight-list entries where a scan of every adjacency entry read 2.52M.
 
     Under uniform weights (all equal, or all read as 1 if unit) every edge
-    stays tight until the final delta-1 stop, so the delta 2-4 scans are
-    skipped. Vertex duals start at the weight and change only at a delta step;
-    every blossom forms S-labelled with dual 0 and its stage's end expands it,
-    so none outlives its stage or turns T. Each scanned edge thus has slack 0,
-    a drained queue leaves no S-S edge between top-level blossoms and no
-    S-vertex beside an unlabelled one, and the first delta step is delta 1.
+    stays tight until the final delta-1 stop, so adj serves as the tight lists
+    and the delta 2-4 scans are skipped: duals change only at a delta step,
+    and each blossom forms S-labelled with dual 0 and is expanded at its
+    stage's end. A drained queue thus leaves no S-S edge between top-level
+    blossoms and no S-vertex beside an unlabelled one.
 
-    Otherwise mate starts as a matching on the top-weight edges (Galil's warm
-    start; on uniform weights it would be the whole solve): every vertex dual
-    starts at top, so an edge's doubled slack 2 * top - 2 * w is 0 exactly on
-    them, no blossom exists yet and every free vertex holds the one minimal
-    dual. _verify_optimum proves any seed's result.
+    mate starts empty: every vertex dual starts at top, so until the first
+    dual step the tight edges are exactly the top-weight ones and the stages
+    are a cardinality solve's over them (same vertex order, same filtered adj
+    order, zero-dual blossoms expanded at each stage's end). A warm start
+    from that solve's matching would only repeat its last, failed stage.
     """
     adj = _index(g, unit)
     if not g.edges:
         return Matching(frozenset())
 
     gnodes = range(g.num_vertices)
-
     weights = {1} if unit else {w for _, _, w in g.edges}
     top, uniform = max(weights), len(weights) == 1
-    mate = {} if uniform else _top_weight_seed(g, top)
-    label = {}
-    labeledge = {}
+    mate = {}
+    free = list(gnodes)
     inblossom = list(gnodes)
     blossomparent = {v: None for v in gnodes}
     blossombase = {v: v for v in gnodes}
     dualvar = [top] * g.num_vertices
     blossomdual = {}
-    queue = []
+    tight = adj if uniform else _tight_lists(adj, dualvar)
 
     def assign_label(w, t, v):
         # label the top-level blossom containing w, reached through edge (v, w)
@@ -449,20 +451,18 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 mate[j] = s
 
     while 1:
-        # stage: grow alternating trees until one augmentation succeeds; a free
-        # vertex is its top-level blossom's base, so all are labelled S at once
-        free = [v for v in gnodes if v not in mate]
-        roots = [inblossom[v] for v in free]
-        label.clear()
-        label.update(dict.fromkeys(free + roots, 1))
-        labeledge.clear()
-        labeledge.update(dict.fromkeys(free + roots))
-        queue[:] = []
-        for b in roots:
-            if isinstance(b, _Blossom):
-                queue.extend(b.leaves())
-            else:
-                queue.append(b)
+        # stage: grow alternating trees until one augmentation succeeds. free only
+        # shrinks; each free vertex is its top-level blossom's base, labelled S
+        free = [v for v in free if v not in mate]
+        label = dict.fromkeys(free, 1)
+        labeledge = dict.fromkeys(free)
+        queue = free[:]
+        if blossomdual:
+            # a free vertex may be the base of a surviving blossom: label that too
+            roots = [inblossom[v] for v in free]
+            label.update(dict.fromkeys(roots, 1))
+            labeledge.update(dict.fromkeys(roots))
+            queue = [x for b in roots for x in (b.leaves() if isinstance(b, _Blossom) else (b,))]
 
         augmented = 0
         while 1:
@@ -470,10 +470,10 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
             while queue and not augmented:
                 v = queue.pop()
                 assert label[inblossom[v]] == 1
-                for w, wt in adj[v].items():
+                for w in tight[v]:
                     bv, bw = inblossom[v], inblossom[w]
-                    if bv == bw or dualvar[v] + dualvar[w] > 2 * wt:
-                        continue  # inside one blossom, or not tight
+                    if bv == bw:
+                        continue  # inside one blossom
                     if label.get(bw) is None:
                         # free vertex: becomes T, its mate becomes S
                         assign_label(w, 2, v)
@@ -540,7 +540,8 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
 
             if deltatype == 1:
                 break
-            elif deltatype == 4:
+            tight = _tight_lists(adj, dualvar)
+            if deltatype == 4:
                 expand_blossom(deltablossom, False)
             else:
                 # delta 2 or 3: the least-slack edge from an S-vertex is tight now

@@ -106,12 +106,14 @@ def build_graph(charts, denominator: int, weighted: bool) -> UnionGraph:
     penult = [ch.cells[-2] if len(ch.cells) > 1 else inf for ch in charts]
     last = [ch.cells[-1] if ch.cells else inf for ch in charts]
     n, d, w2 = len(charts), denominator, 2 if weighted else 1
+    # one int object per vertex, shared by every edge tuple that names it
+    ids = list(range(n))
     edges, best = [], []
-    for u in range(n):
+    for u in ids:
         # room left beside u's boundary cells, tried in best_union's order
         rp, rl, rf, rs = d - penult[u], d - last[u], d - first[u], d - second[u]
         s = u + 1
-        for v, fv, sv, pv, lv in zip(range(s, n), first[s:], second[s:],
+        for v, fv, sv, pv, lv in zip(ids[s:], first[s:], second[s:],
                                      penult[s:], last[s:]):
             if fv <= rp and sv <= rl:
                 edges.append((u, v, w2))

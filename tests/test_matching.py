@@ -55,22 +55,27 @@ class TestMaxCardinality:
         assert max_cardinality_matching(g).cardinality() == 3
 
 
-def record_warm_start(monkeypatch):
-    """Record each weighted solve's seed and the blossoms it ends with."""
-    seen = {}
-    seed, verify = matching._top_weight_seed, matching._verify_optimum
-
-    def recording_seed(g, top):
-        mate = seed(g, top)
-        seen["seed"] = dict(mate)  # the solver goes on to update mate itself
-        return mate
+def record_final_state(monkeypatch):
+    """Record the blossoms each solve ends with, as _verify_optimum sees them."""
+    seen, verify = {}, matching._verify_optimum
 
     def recording_verify(edges, adj, mate, dualvar, blossomdual, blossomparent):
         seen.update(blossomdual=blossomdual, blossomparent=blossomparent)
         return verify(edges, adj, mate, dualvar, blossomdual, blossomparent)
-    monkeypatch.setattr(matching, "_top_weight_seed", recording_seed)
     monkeypatch.setattr(matching, "_verify_optimum", recording_verify)
     return seen
+
+
+def record_tight_lists(monkeypatch):
+    """Record each tight-list build as its set of tight edges (u < v)."""
+    built, tight_lists = [], matching._tight_lists
+
+    def recording(adj, dualvar):
+        tight = tight_lists(adj, dualvar)
+        built.append({(v, w) for v, ws in enumerate(tight) for w in ws if v < w})
+        return tight
+    monkeypatch.setattr(matching, "_tight_lists", recording)
+    return built
 
 
 class TestMaxWeight:
@@ -81,35 +86,38 @@ class TestMaxWeight:
         assert set(matching_pairs(g, m)) == {(1, 2)}
 
     def test_outer_edges_win(self, monkeypatch):
-        # 1-2 is the only top-weight edge, so it is the whole warm-start
-        # seed, and the solver must trade it for the two lighter edges
-        seen = record_warm_start(monkeypatch)
+        # every dual starts at the top weight, so until the first dual step
+        # 1-2 is the only tight edge, and the solver must trade it for the
+        # two lighter edges
+        built = record_tight_lists(monkeypatch)
         g = graph(4, (0, 1, 2), (1, 2, 3), (2, 3, 2))
         m = max_weight_matching(g)
-        assert seen["seed"] == {1: 2, 2: 1}
+        assert built[0] == {(1, 2)}
         assert matching_weight(g, m) == 4
         assert set(matching_pairs(g, m)) == {(0, 1), (2, 3)}
 
-    def test_seed_ends_inside_a_blossom(self, monkeypatch):
-        # free vertex 1 reaches the seeded edge 0-2 through 0-1; after a
-        # delta-3 step the light edge 1-2 closes the triangle into a blossom
-        # that keeps a positive dual and the seeded edge
-        seen = record_warm_start(monkeypatch)
+    def test_first_matched_edge_ends_inside_a_blossom(self, monkeypatch):
+        # the first stage matches the top-weight edge 0-2; free vertex 1
+        # reaches it through 0-1, and after a delta-3 step the light edge 1-2
+        # closes the triangle into a blossom that keeps a positive dual and 0-2
+        seen = record_final_state(monkeypatch)
         g = graph(3, (0, 1, 3), (0, 2, 3), (1, 2, 1))
         assert set(matching_pairs(g, max_weight_matching(g))) == {(0, 2)}
-        assert seen["seed"] == {0: 2, 2: 0}
         b = seen["blossomparent"][0]
         assert seen["blossomparent"][2] is b and seen["blossomdual"][b] > 0
         assert set(b.leaves()) == {0, 1, 2}
 
-    def test_uniform_weights_take_no_seed(self, monkeypatch):
-        # every edge weighs 2, so each is tight from the start and a seed
-        # would be the whole solve
-        seen = record_warm_start(monkeypatch)
+    def test_tight_lists_are_built_once_per_dual_step(self, monkeypatch):
+        built = record_tight_lists(monkeypatch)
+        # every edge weighs 2, so each stays tight and adj serves as the lists
         g = graph(5, (0, 1, 2), (1, 2, 2), (2, 0, 2), (2, 3, 2), (3, 4, 2))
         m = max_weight_matching(g)
-        assert "seed" not in seen and "blossomdual" in seen
         assert m == max_cardinality_matching(g) and matching_weight(g, m) == 4
+        assert built == []
+        # the triangle above makes one delta-3 step before the final delta 1:
+        # the lists are built at the start and once after that step
+        max_weight_matching(graph(3, (0, 1, 3), (0, 2, 3), (1, 2, 1)))
+        assert built == [{(0, 1), (0, 2)}, {(0, 1), (0, 2), (1, 2)}]
 
     def test_least_slack_edges_leave_non_base_leaves(self):
         # free vertex 0 grows the S-blossom {0, 5, 1}; 5 was a T-vertex, so only

@@ -401,8 +401,8 @@ class TestCorpus:
 
     def test_verified_ids_are_the_mate_filter_ids(self, monkeypatch):
         # _verify_optimum collects the matched edge ids in its slackness
-        # pass; on every corpus graph, seed solves included, they must be the
-        # ids that a filter for mate.get(u) == v over the edges picks
+        # pass; on every corpus graph they must be the ids that a filter for
+        # mate.get(u) == v over the edges picks
         verify, checked = matching._verify_optimum, []
 
         def compare(edges, adj, mate, *duals):
@@ -414,9 +414,8 @@ class TestCorpus:
         for _, inst in corpus():
             pack_matching(inst)
             pack_weighted_matching(inst)
-        # unit and weighted solves, and a seed solve for each of the 55
-        # weighted graphs whose weights differ
-        assert len(checked) == 167 + 139 + 55
+        # one verified solve per unit and per weighted graph
+        assert len(checked) == 167 + 139
 
 
 class TestInvariantChecks:

@@ -147,6 +147,15 @@ class TestBuildGraph:
         graph = build_graph(charts, 100, weighted=True)
         assert graph_to_edge_list(graph) == "0 1 2\n"
 
+    def test_edges_share_one_int_per_vertex(self):
+        # ids above 256 are not cached by Python, so an edge tuple that made
+        # its own int for a vertex would add one distinct object per edge
+        inst = gen_big(600, 3)
+        graph = build_graph([chart_from_bars(c) for c in inst.charts],
+                            inst.denominator, True)
+        assert len(graph.edges) > 10 * inst.n
+        assert len({id(x) for u, v, _ in graph.edges for x in (u, v)}) <= inst.n
+
 
 def _reference_edges(charts, denominator, weighted):
     """The union graph as a loop of best_union over all pairs gives it:
