@@ -4,9 +4,9 @@ The weighted solver is the classic primal-dual blossom method (Galil's
 survey describes it; Ed Rothberg's C code and its well-known Python ports
 fix the bookkeeping conventions used here). Maximum-cardinality matching
 is the same solver on unit weights. Whenever all weights are equal every
-edge stays tight, so the solver skips the delta 2, 3 and 4 scans and scans
-the adjacency map as is, with no tight-edge lists. A brute-force enumerator
-over all matchings doubles as the independent test oracle.
+edge stays tight, so the solver skips the delta 2, 3 and 4 scans and builds
+no tight-edge lists. A brute-force enumerator over all matchings doubles as
+the independent test oracle.
 
 All arithmetic is integer; with integer weights the optimum is verified
 against the dual solution on every call, in the pass that reads back the
@@ -544,10 +544,10 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
             if deltatype == 4:
                 expand_blossom(deltablossom, False)
             else:
-                # delta 2 or 3: the least-slack edge from an S-vertex is tight now
+                # delta 2 or 3: the least-slack edge from an S-vertex is tight and listed now
                 v, w = deltaedge
                 assert label[inblossom[v]] == 1
-                assert dualvar[v] + dualvar[w] == 2 * adj[v][w]
+                assert dualvar[v] + dualvar[w] == 2 * adj[v][w] and w in tight[v]
                 queue.append(v)
 
         for v in mate:

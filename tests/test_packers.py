@@ -21,11 +21,7 @@ from barpack.generators import (
     generate,
     tight_family_forced_pairs,
 )
-from barpack.matching import (
-    matching_weight,
-    max_cardinality_matching,
-    max_weight_matching,
-)
+from barpack.matching import max_cardinality_matching, max_weight_matching
 from barpack.model import BarChart, is_feasible, length, occupancy, validate_instance
 from barpack.packers import (
     pack_first_fit,
