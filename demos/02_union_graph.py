@@ -37,13 +37,13 @@ print("merge(z, w, 2):", zw.cells, "provenance:", zw.provenance)
 # xy ends in 0.65 and z starts at 0.40, so nothing fits either way.
 print("\nbest_union(xy, z):", best_union(xy, z, D))
 
-# The union graph is a matching Graph: (u, v, weight) edges with u < v,
-# which the blossom matcher reads as they are, plus best[i], the
-# (u_first, t) that best_union gives edge i, used to merge a matched pair.
-graph = build_graph([x, y, z, w], D, weighted=True)
-print(f"\nweighted union graph on 4 charts: {len(graph.edges)} edges")
+# The union graph is a matching Graph whose edges are (left, right, t):
+# chart left goes first, the pair shares t cells, and t is the edge's
+# weight, the cells the union saves. The blossom matcher reads the edges as
+# they are; the cardinality matcher counts each one as 1.
+graph = build_graph([x, y, z, w], D)
+print(f"\nunion graph on 4 charts: {len(graph.edges)} edges")
 print(graph_to_edge_list(graph), end="")
 print("(weight 2 marks a full two-cell overlap)")
-for (u, v, weight), (u_first, t) in zip(graph.edges, graph.best):
-    left = u if u_first else v
-    print(f"edge {u}-{v}: chart {left} goes left, {t} shared cell(s), weight {weight}")
+for left, right, t in graph.edges:
+    print(f"edge {left}-{right}: chart {left} goes left, {t} shared cell(s)")

@@ -77,7 +77,6 @@ from .report import (
 )
 from .unions import (
     Chart,
-    UnionGraph,
     best_union,
     build_graph,
     chart_from_bars,

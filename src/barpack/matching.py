@@ -184,6 +184,9 @@ def _verify_optimum(edges, adj, mate, dualvar, blossomdual, blossomparent):
     # by vertex: its mate (None if free) and the positive-dual blossoms holding it
     mates = [mate.get(v) for v in range(len(dualvar))]
     inside = [held[blossomparent[v]] for v in range(len(dualvar))]
+    for v, w in mate.items():
+        if mates[w] != v:
+            raise InvariantViolation(f"vertex {v}'s mate {w} is one-sided")
     matched = []
     for i, (u, v, _) in enumerate(edges):
         s = dualvar[u] + dualvar[v] - 2 * adj[u][v]
@@ -193,9 +196,9 @@ def _verify_optimum(edges, adj, mate, dualvar, blossomdual, blossomparent):
                 s += 2 * blossomdual[b]
         if s < 0:
             raise InvariantViolation(f"edge ({u}, {v}) has negative slack {s}")
-        if mates[u] == v or mates[v] == u:
-            if mates[u] != v or mates[v] != u or s != 0:
-                raise InvariantViolation(f"matched edge ({u}, {v}) is one-sided or not tight")
+        if mates[u] == v:
+            if s != 0:
+                raise InvariantViolation(f"matched edge ({u}, {v}) is not tight")
             matched.append(i)
     for v, dual in enumerate(dualvar):
         if mates[v] is None and dual != 0:
@@ -549,9 +552,6 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 assert label[inblossom[v]] == 1
                 assert dualvar[v] + dualvar[w] == 2 * adj[v][w] and w in tight[v]
                 queue.append(v)
-
-        for v in mate:
-            assert mate[mate[v]] == v
 
         if not augmented:
             break

@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotAMatching, NotMaxWeight, ProvenanceGap
-from .matching import matching_weight, max_cardinality_matching, max_weight_matching
+from .matching import Graph, matching_weight, max_cardinality_matching, max_weight_matching
 from .model import Instance, Packing, compact, length
-from .unions import UnionGraph, build_graph, chart_from_bars, merge
+from .unions import build_graph, chart_from_bars, merge
 
 
 @dataclass(frozen=True)
@@ -73,27 +73,25 @@ def _finish(inst: Instance, charts, rounds) -> PackResult:
     return PackResult(packing, trace, realized)
 
 
-def _merge_round(charts, graph: UnionGraph, chosen, denominator):
+def _merge_round(charts, graph: Graph, chosen, denominator):
     """Merge the pair of each chosen edge id; the merged chart takes the
-    place of u, the smaller index."""
+    place of the smaller index."""
     merged, gone, savings = {}, set(), 0
     for i in chosen:
-        u, v, _ = graph.edges[i]
-        u_first, t = graph.best[i]
-        left, right = (charts[u], charts[v]) if u_first else (charts[v], charts[u])
-        merged[u] = merge(left, right, t, denominator)
-        gone.add(v)
+        left, right, t = graph.edges[i]
+        merged[min(left, right)] = merge(charts[left], charts[right], t, denominator)
+        gone.add(max(left, right))
         savings += t
     return [merged.get(c, ch) for c, ch in enumerate(charts) if c not in gone], savings
 
 
-def _round_stats(graph: UnionGraph, chosen, savings) -> RoundStats:
+def _round_stats(graph: Graph, chosen, savings, weighted) -> RoundStats:
     return RoundStats(
         cardinality=len(chosen),
-        weight=sum(graph.edges[i][2] for i in chosen),
+        weight=savings if weighted else len(chosen),
         savings=savings,
         graph_edges=len(graph.edges),
-        max_union=max((t for _, t in graph.best), default=0),
+        max_union=max((t for _, _, t in graph.edges), default=0),
     )
 
 
@@ -102,13 +100,13 @@ def _run_rounds(inst: Instance, weighted: bool, forced_first=None) -> PackResult
     rounds = []
     if forced_first is not None:
         # checked even when a single chart leaves nothing to merge
-        graph = build_graph(charts, inst.denominator, weighted)
+        graph = build_graph(charts, inst.denominator)
         chosen = _validate_forced(graph, forced_first)
         if chosen:
             charts, savings = _merge_round(charts, graph, chosen, inst.denominator)
-            rounds.append(_round_stats(graph, chosen, savings))
+            rounds.append(_round_stats(graph, chosen, savings, weighted))
     while len(charts) > 1:
-        graph = build_graph(charts, inst.denominator, weighted)
+        graph = build_graph(charts, inst.denominator)
         if not graph.edges:
             break
         m = max_weight_matching(graph) if weighted else max_cardinality_matching(graph)
@@ -116,19 +114,18 @@ def _run_rounds(inst: Instance, weighted: bool, forced_first=None) -> PackResult
             break
         chosen = sorted(m.edge_indices)
         charts, savings = _merge_round(charts, graph, chosen, inst.denominator)
-        rounds.append(_round_stats(graph, chosen, savings))
+        rounds.append(_round_stats(graph, chosen, savings, weighted))
     return _finish(inst, charts, rounds)
 
 
-def _validate_forced(graph: UnionGraph, pairs):
+def _validate_forced(graph: Graph, pairs):
     """Check the supplied id pairs form a maximum-weight matching of the
     first-round graph and return their edge ids."""
-    by_pair = {(u, v): i for i, (u, v, _) in enumerate(graph.edges)}
+    by_pair = {frozenset((u, v)): i for i, (u, v, _) in enumerate(graph.edges)}
     used = set()
     chosen = []
     for i, j in pairs:
-        key = (i, j) if i < j else (j, i)
-        edge = by_pair.get(key)
+        edge = by_pair.get(frozenset((i, j)))
         if edge is None:
             raise NotAMatching(f"charts {i} and {j} admit no union")
         if i in used or j in used or i == j:
@@ -144,14 +141,14 @@ def _validate_forced(graph: UnionGraph, pairs):
 
 
 def pack_matching(inst: Instance) -> PackResult:
-    """Iterated maximum-cardinality matching over the unweighted union
-    graph (CLI algo "m"). Matched pairs still merge with their best
-    overlap, so a round may save more cells than it has matched edges."""
+    """Iterated maximum-cardinality matching over the union graph, every
+    edge counted as 1 (CLI algo "m"). Matched pairs still merge with their
+    best overlap, so a round may save more cells than it has matched edges."""
     return _run_rounds(inst, weighted=False)
 
 
 def pack_weighted_matching(inst: Instance) -> PackResult:
-    """Iterated maximum-weight matching over the weighted union graph
+    """Iterated maximum-weight matching over the union graph
     (CLI algo "mw"); edge weights are the cells their union saves."""
     return _run_rounds(inst, weighted=True)
 

@@ -4,6 +4,10 @@ Two charts form a union when a suffix of one overlaps a prefix of the
 other by t cells (t = 1 or 2) without any shared cell exceeding the strip
 height. Merging realizes the union and keeps track of where each original
 two-bar chart ended up (its provenance offset).
+
+The union graph is a plain matching Graph whose edges are (left, right, t):
+chart left goes first, the pair shares t cells, and t, the cells the union
+saves, is the edge's weight. The cardinality matcher reads every weight as 1.
 """
 
 from __future__ import annotations
@@ -78,19 +82,12 @@ def best_union(x: Chart, y: Chart, denominator: int):
     return None
 
 
-@dataclass(frozen=True)
-class UnionGraph(Graph):
-    """The union graph as the matcher reads it: (u, v, weight) edges with
-    u < v, sorted by (u, v), plus best[i], the (u_first, t) that
-    best_union(u, v) gives edge i. The weight is t on weighted graphs and
-    1 otherwise."""
-
-    best: tuple[tuple[bool, int], ...]
-
-
-def build_graph(charts, denominator: int, weighted: bool) -> UnionGraph:
-    """Union graph over the given charts: one edge per unordered pair that
-    admits a feasible union, realized exactly as best_union would.
+def build_graph(charts, denominator: int) -> Graph:
+    """Union graph over the given charts: one edge (left, right, t) per
+    unordered pair that admits a feasible union, realized exactly as
+    best_union would. Chart left goes first and the two share t in {1, 2}
+    cells, which is also the edge's weight. Edges come in (min, max) pair
+    order, whichever end goes first.
 
     A union reads only the first two and last two cells of each side, so
     those are read once. A chart shorter than two cells stands in inf for
@@ -105,10 +102,10 @@ def build_graph(charts, denominator: int, weighted: bool) -> UnionGraph:
     second = [ch.cells[1] if len(ch.cells) > 1 else inf for ch in charts]
     penult = [ch.cells[-2] if len(ch.cells) > 1 else inf for ch in charts]
     last = [ch.cells[-1] if ch.cells else inf for ch in charts]
-    n, d, w2 = len(charts), denominator, 2 if weighted else 1
+    n, d = len(charts), denominator
     # one int object per vertex, shared by every edge tuple that names it
     ids = list(range(n))
-    edges, best = [], []
+    edges = []
     for u in ids:
         # room left beside u's boundary cells, tried in best_union's order
         rp, rl, rf, rs = d - penult[u], d - last[u], d - first[u], d - second[u]
@@ -116,20 +113,16 @@ def build_graph(charts, denominator: int, weighted: bool) -> UnionGraph:
         for v, fv, sv, pv, lv in zip(ids[s:], first[s:], second[s:],
                                      penult[s:], last[s:]):
             if fv <= rp and sv <= rl:
-                edges.append((u, v, w2))
-                best.append((True, 2))
+                edges.append((u, v, 2))
             elif pv <= rf and lv <= rs:
-                edges.append((u, v, w2))
-                best.append((False, 2))
+                edges.append((v, u, 2))
             elif fv <= rl:
                 edges.append((u, v, 1))
-                best.append((True, 1))
             elif lv <= rf:
-                edges.append((u, v, 1))
-                best.append((False, 1))
-    return UnionGraph(n, tuple(edges), tuple(best))
+                edges.append((v, u, 1))
+    return Graph(n, tuple(edges))
 
 
-def graph_to_edge_list(graph: UnionGraph) -> str:
-    """Plain 'u v weight' lines, for debugging."""
-    return "".join(f"{u} {v} {w}\n" for u, v, w in graph.edges)
+def graph_to_edge_list(graph: Graph) -> str:
+    """Plain 'left right t' lines, for debugging."""
+    return "".join(f"{left} {right} {t}\n" for left, right, t in graph.edges)

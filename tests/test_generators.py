@@ -102,17 +102,18 @@ class TestTightFamily:
         # greens chain, reds chain, green-before-red; no 2-unions anywhere
         inst = gen_tight_family(k, 100)
         graph = build_graph([chart_from_bars(c) for c in inst.charts],
-                            inst.denominator, weighted=True)
+                            inst.denominator)
         greens = set(range(2 * k))
-        assert all(w == 1 for _, _, w in graph.edges)
-        for (u, v, _), (u_first, _) in zip(graph.edges, graph.best):
-            if u in greens and v not in greens:
-                assert u_first  # red before green is never feasible
+        assert all(t == 1 for _, _, t in graph.edges)
+        for left, right, _ in graph.edges:
+            if (left in greens) != (right in greens):
+                # red before green is never feasible
+                assert left in greens
         expected = {(u, v) for u in greens for v in range(2 * k, 4 * k)}
         expected |= {(u, v) for u in greens for v in greens if u < v}
         reds = set(range(2 * k, 4 * k))
         expected |= {(u, v) for u in reds for v in reds if u < v}
-        assert {(u, v) for u, v, _ in graph.edges} == expected
+        assert {(min(u, v), max(u, v)) for u, v, _ in graph.edges} == expected
 
     def test_forced_pairs_shape(self):
         inst = gen_tight_family(2, 100)

@@ -201,6 +201,7 @@ class TestVerifyOptimum:
         (PERFECT, (0, 0, 0, 0), "negative slack"),
         (PERFECT, (-1, 3, 1, 1), "negative dual"),
         ({0: 1, 2: 3, 3: 2}, (1, 1, 1, 1), "one-sided"),
+        ({0: 3, 1: 2, 2: 1}, (2, 0, 2, 0), "one-sided"),  # 0's mate 3 is free
         ({0: 1, 1: 0, 2: 3, 3: 2}, (2, 1, 1, 1), "not tight"),
     ])
     def test_rejects_a_non_optimum(self, mate, duals, message):

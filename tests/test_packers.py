@@ -1,6 +1,7 @@
 """Packers: iterated-matching loops, forced first round, first fit, layout."""
 
 import hashlib
+import importlib.util
 import os
 import random
 import subprocess
@@ -440,3 +441,17 @@ class TestInvariantChecks:
         run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=60)
         assert run.stdout.strip() == "raised", run.stderr
+
+
+class TestBenchmarkSeam:
+    def test_every_patched_name_exists(self):
+        # perfbench times a layer by replacing the name its caller imported,
+        # so a name dropped from barpack.packers would break the benchmark
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans.PATCHES
+        missing = [(mod.__name__, attr) for mod, attr, _ in spans.PATCHES
+                   if not hasattr(mod, attr)]
+        assert missing == []

@@ -100,27 +100,31 @@ class TestBestUnion:
 
 def _brute_force_edges(inst):
     """Independent enumeration of the union graph over 2-bar charts using
-    Fraction arithmetic: all four candidates per unordered pair."""
+    Fraction arithmetic: all four candidates per unordered pair, as
+    (left, right, t). A 2-union of two 2-bar charts fits either way round,
+    so it keeps i first, as a tie does."""
     edges = set()
     D = inst.denominator
     hs = [(Fraction(c.a, D), Fraction(c.b, D)) for c in inst.charts]
     for i, j in combinations(range(inst.n), 2):
         (ai, bi), (aj, bj) = hs[i], hs[j]
-        t2 = ai + aj <= 1 and bi + bj <= 1
-        t1 = bi + aj <= 1 or bj + ai <= 1
-        if t2 or t1:
-            edges.add((i, j, 2 if t2 else 1))
+        if ai + aj <= 1 and bi + bj <= 1:
+            edges.add((i, j, 2))
+        elif bi + aj <= 1:
+            edges.add((i, j, 1))
+        elif bj + ai <= 1:
+            edges.add((j, i, 1))
     return edges
 
 
 class TestBuildGraph:
     def test_no_feasible_union(self):
         charts = [two_bar(0, 0.8, 0.7), two_bar(1, 0.6, 0.9)]
-        assert build_graph(charts, 100, weighted=True).edges == ()
+        assert build_graph(charts, 100).edges == ()
 
     def test_tight_family_k1_edges(self):
         inst = gen_tight_family(1, 100)
-        graph = build_graph([chart_from_bars(c) for c in inst.charts], 100, True)
+        graph = build_graph([chart_from_bars(c) for c in inst.charts], 100)
         got = set(graph.edges)
         assert got == _brute_force_edges(inst)
         # greens chain, reds chain, and every green-red pair; all 1-unions
@@ -129,22 +133,19 @@ class TestBuildGraph:
 
     def test_single_two_union_edge(self):
         charts = [two_bar(0, 0.4, 0.6), two_bar(1, 0.6, 0.4)]
-        graph = build_graph(charts, 100, weighted=True)
+        graph = build_graph(charts, 100)
         assert list(graph.edges) == [(0, 1, 2)]
-        unweighted = build_graph(charts, 100, weighted=False)
-        assert unweighted.edges[0][2] == 1  # weight
-        assert unweighted.best[0][1] == 2  # best overlap still recorded
 
     def test_matches_brute_force_on_random_instances(self):
         for seed in range(30):
             inst = gen_big(6, seed, 1000)
             graph = build_graph([chart_from_bars(c) for c in inst.charts],
-                                inst.denominator, True)
+                                inst.denominator)
             assert set(graph.edges) == _brute_force_edges(inst)
 
     def test_edge_list_export(self):
         charts = [two_bar(0, 0.4, 0.6), two_bar(1, 0.6, 0.4)]
-        graph = build_graph(charts, 100, weighted=True)
+        graph = build_graph(charts, 100)
         assert graph_to_edge_list(graph) == "0 1 2\n"
 
     def test_edges_share_one_int_per_vertex(self):
@@ -152,27 +153,21 @@ class TestBuildGraph:
         # its own int for a vertex would add one distinct object per edge
         inst = gen_big(600, 3)
         graph = build_graph([chart_from_bars(c) for c in inst.charts],
-                            inst.denominator, True)
+                            inst.denominator)
         assert len(graph.edges) > 10 * inst.n
         assert len({id(x) for u, v, _ in graph.edges for x in (u, v)}) <= inst.n
 
 
-def _reference_edges(charts, denominator, weighted):
+def _reference_edges(charts, denominator):
     """The union graph as a loop of best_union over all pairs gives it:
-    (u, v, u_first, t, weight) in (u, v) order."""
+    (left, right, t) in (u, v) order."""
     edges = []
     for u, v in combinations(range(len(charts)), 2):
         found = best_union(charts[u], charts[v], denominator)
         if found is not None:
             u_first, t = found
-            edges.append((u, v, u_first, t, t if weighted else 1))
+            edges.append((u, v, t) if u_first else (v, u, t))
     return edges
-
-
-def _graph_edges(graph):
-    assert len(graph.best) == len(graph.edges)
-    return [(u, v, u_first, t, w)
-            for (u, v, w), (u_first, t) in zip(graph.edges, graph.best)]
 
 
 class TestBuildGraphDifferential:
@@ -184,10 +179,10 @@ class TestBuildGraphDifferential:
     def test_every_round_of_both_packers(self, family, packer, monkeypatch):
         seen = {"builds": 0, "merged_two_cell": 0, "three_plus": 0}
 
-        def checked_build(charts, denominator, weighted):
-            graph = build_graph(charts, denominator, weighted)
+        def checked_build(charts, denominator):
+            graph = build_graph(charts, denominator)
             assert graph.num_vertices == len(charts)
-            assert _graph_edges(graph) == _reference_edges(charts, denominator, weighted)
+            assert list(graph.edges) == _reference_edges(charts, denominator)
             seen["builds"] += 1
             seen["merged_two_cell"] += sum(
                 1 for ch in charts if len(ch) == 2 and len(ch.provenance) > 1)
@@ -222,16 +217,16 @@ def short_charts(draw):
 class TestBuildGraphShortCharts:
     def test_one_cell_chart(self):
         one = Chart((30,), ((0, 0),))
-        graph = build_graph([one, two_bar(1, 0.7, 0.3)], 100, weighted=True)
+        graph = build_graph([one, two_bar(1, 0.7, 0.3)], 100)
         assert graph.edges == ((0, 1, 1),)
-        assert graph.best == ((True, 1),) == (best_union(one, two_bar(1, 0.7, 0.3), 100),)
+        # chart 0 goes left, as best_union orients the pair
+        assert best_union(one, two_bar(1, 0.7, 0.3), 100) == (True, 1)
 
     @settings(max_examples=300, deadline=None)
-    @given(short_charts(), st.booleans())
-    def test_matches_best_union(self, case, weighted):
+    @given(short_charts())
+    def test_matches_best_union(self, case):
         charts, denom = case
-        got = _graph_edges(build_graph(charts, denom, weighted))
-        assert got == _reference_edges(charts, denom, weighted)
+        assert list(build_graph(charts, denom).edges) == _reference_edges(charts, denom)
 
 
 class TestProvenanceSoundness:
@@ -254,8 +249,8 @@ class TestBigInstanceStructure:
         for seed in range(20):
             inst = gen_big_nonincreasing(7, seed)
             graph = build_graph([chart_from_bars(c) for c in inst.charts],
-                                inst.denominator, True)
-            assert all(w == 1 for _, _, w in graph.edges)
+                                inst.denominator)
+            assert all(t == 1 for _, _, t in graph.edges)
 
     def test_no_two_unions_after_first_weighted_round(self):
         # charts of length >= 3 built by the weighted packer never admit
