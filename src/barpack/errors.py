@@ -33,7 +33,7 @@ class MalformedJson(BarpackError, ValueError):
 
 
 class UnassignedChart(BarpackError):
-    """A packing does not assign a start cell to every chart."""
+    """A packing does not assign every chart a start cell in 1..4n."""
 
 
 class InfeasiblePacking(BarpackError):

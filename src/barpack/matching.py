@@ -250,6 +250,12 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     are a cardinality solve's over them (same vertex order, same filtered adj
     order, zero-dual blossoms expanded at each stage's end). A warm start
     from that solve's matching would only repeat its last, failed stage.
+
+    With no blossom, a stage whose first vertex v = free[-1] has a free tight
+    neighbour just matches v to the first one: the full stage would fold only
+    zero-dual blossoms based at v, augment along that one edge (v's blossom is
+    unchanged) and expand them again, so mate, duals and the blossom dicts end
+    the same. With no blossom every listed edge is tight, after dual steps too.
     """
     adj = _index(g, unit)
     if not g.edges:
@@ -454,6 +460,15 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 mate[j] = s
 
     while 1:
+        # direct stage (see the docstring): no labels, queue or end-of-stage pass
+        while free and free[-1] in mate:
+            free.pop()
+        if free and not blossomdual:
+            v = free[-1]
+            w = next((w for w in tight[v] if w not in mate), None)
+            if w is not None:
+                mate[v], mate[w] = w, v
+                continue
         # stage: grow alternating trees until one augmentation succeeds. free only
         # shrinks; each free vertex is its top-level blossom's base, labelled S
         free = [v for v in free if v not in mate]

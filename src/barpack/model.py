@@ -133,13 +133,17 @@ def _check_assignment(inst: Instance, packing: Packing) -> None:
     for i, s in enumerate(packing.starts):
         if not isinstance(s, int) or s < 1:
             raise UnassignedChart(f"chart {i} has invalid start cell {s!r}")
+        if s > 4 * inst.n:
+            raise UnassignedChart(f"chart {i} start cell {s} is beyond cell {4 * inst.n}")
 
 
 def occupancy(inst: Instance, packing: Packing) -> tuple[int, ...]:
     """Per-cell load numerators from cell 1 to the last occupied cell.
 
     Cell j collects the first bar of every chart starting at j plus the
-    second bar of every chart starting at j-1.
+    second bar of every chart starting at j-1. A start cell above 4n raises
+    UnassignedChart, so the cells stay O(n): gaps may total at most 2n
+    cells, as many as the bars.
     """
     _check_assignment(inst, packing)
     last = max(packing.starts) + 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InvariantViolation, NotAMatching, NotMaxWeight, ProvenanceGap
 from .matching import Graph, matching_weight, max_cardinality_matching, max_weight_matching
@@ -91,7 +92,7 @@ def _round_stats(graph: Graph, chosen, savings, weighted) -> RoundStats:
         weight=savings if weighted else len(chosen),
         savings=savings,
         graph_edges=len(graph.edges),
-        max_union=max((t for _, _, t in graph.edges), default=0),
+        max_union=max(map(itemgetter(2), graph.edges), default=0),
     )
 
 

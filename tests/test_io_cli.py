@@ -379,7 +379,10 @@ MALFORMED_INSTANCES = [
     '[' * 100_000,
 ]
 
-MALFORMED_PACKINGS = ['[1,2]', '{}', '{"starts":5}', '{"starts":[true,1]}', 'null']
+# the tight instance has n=4, so a start above cell 16 is rejected before any
+# cell is allocated
+MALFORMED_PACKINGS = ['[1,2]', '{}', '{"starts":5}', '{"starts":[true,1]}', 'null',
+                      '{"starts":[10000000000000000000,1,3,5]}', '{"starts":[17,1,3,5]}']
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)

@@ -13,6 +13,7 @@ import pytest
 import barpack
 from barpack import matching
 from barpack.errors import InvariantViolation, TooLarge
+from barpack.generators import gen_general
 from barpack.matching import (
     Graph,
     _Blossom,
@@ -25,6 +26,7 @@ from barpack.matching import (
     max_weight_matching,
     validate_graph,
 )
+from barpack.unions import build_graph, chart_from_bars
 
 
 def graph(n, *edges):
@@ -53,6 +55,36 @@ class TestMaxCardinality:
         # a triangle hanging off a path defeats greedy augmentation
         g = graph(6, (0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1), (3, 4, 1), (4, 5, 1))
         assert max_cardinality_matching(g).cardinality() == 3
+
+    @staticmethod
+    def count_labels(g):
+        """Solve g, counting the calls to the solver's assign_label closure."""
+        code = next(c for c in matching._blossom_matching.__code__.co_consts
+                    if getattr(c, "co_name", None) == "assign_label")
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is code:
+                calls += 1
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            m = max_cardinality_matching(g)
+        finally:
+            sys.setprofile(previous)
+        return m, calls
+
+    def test_stages_with_a_free_neighbour_label_nothing(self):
+        # while no blossom exists, a stage whose first vertex has a free tight
+        # neighbour matches the two without growing a tree
+        k40 = graph(40, *((u, v, 1) for u in range(40) for v in range(u + 1, 40)))
+        m, calls = self.count_labels(k40)
+        assert m.cardinality() == 20 and calls == 0
+        inst = gen_general(500, 7)
+        g = build_graph([chart_from_bars(c) for c in inst.charts], inst.denominator)
+        m, calls = self.count_labels(g)
+        assert m.cardinality() == 250 and calls <= 1000
 
 
 def record_final_state(monkeypatch):

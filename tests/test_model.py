@@ -114,6 +114,10 @@ class TestOccupancy:
             occupancy(inst, pk(1))
         with pytest.raises(UnassignedChart):
             occupancy(inst, pk(1, 0))
+        # a start may lie at most 4n cells out
+        assert sum(occupancy(inst, pk(1, 8))) == inst.total_mass()
+        with pytest.raises(UnassignedChart, match="chart 1 start cell 9 is beyond cell 8"):
+            occupancy(inst, pk(1, 9))
 
     def test_mass_conservation(self):
         inst = validate_instance([(0.7, 0.3), (0.35, 0.65), (0.2, 0.1)], 100)
