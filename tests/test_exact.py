@@ -1,6 +1,7 @@
 """Exact solver, lower bounds, disassembly, and the boolean-model export."""
 
 import gc
+import hashlib
 import random
 
 import pytest
@@ -166,6 +167,74 @@ def differential_sweep():
     return cases
 
 
+def pinned_search_cases():
+    """(label, instance, budget) for the search pin: the differential sweep
+    at the default budget, then big-nonincreasing n=12 seeds 0-9 at a budget
+    that proves them all and at one that runs out."""
+    for i, inst in enumerate(differential_sweep()):
+        yield f"differential_sweep()[{i}]", inst, DEFAULT_NODE_BUDGET
+    for budget in (2_000_000, 300):
+        for seed in range(10):
+            yield (f"gen_big_nonincreasing(12, {seed}) at budget {budget}",
+                   gen_big_nonincreasing(12, seed), budget)
+
+
+# sha256(repr((opt_length, nodes_explored, proven, starts)))[:8] per case
+SEARCH_DIGESTS = (
+    "1817fc1d 1817fc1d 1817fc1d 1817fc1d 1817fc1d 1817fc1d 1817fc1d 1817fc1d "
+    "1817fc1d 1817fc1d 1817fc1d 1817fc1d d5821e22 abeacd4c bcde22cb c972d1de "
+    "abeacd4c d5821e22 c972d1de c972d1de a00900fc d5821e22 d5821e22 c972d1de "
+    "33cc7721 95dcea44 b7cb8849 8a285932 e5665b8b b525b888 b525b888 8a285932 "
+    "d8ca4c7f feed4d79 d8602068 8a285932 f56eaca5 580c9365 b12c01f3 4dcc12d1 "
+    "9274db47 5c92049d 85e18aa7 eee7f2f7 595c700b 852476d8 801c69d4 eee7f2f7 "
+    "d554c338 14a3a499 1cdabcec 20304f56 0d67742f 6c89660b 22e4ca0e bdd9a423 "
+    "da53e5b0 a4e81fd1 2ca27a27 26818889 52b184e3 d9e39df8 1ae29fd1 87aa53c3 "
+    "6f4e33d2 c19939ad 353a4ed6 ab9ef6b8 fb7a54f8 ab9ef6b8 943051ed 84589626 "
+    "49031006 b95dfd20 94d40f8f a0697f3a 5b60b6ff ba42b1fa 1817fc1d 1817fc1d "
+    "1817fc1d 1817fc1d 1817fc1d 1817fc1d 1817fc1d 1817fc1d 1817fc1d 1817fc1d "
+    "1817fc1d 1817fc1d c972d1de abeacd4c abeacd4c a00900fc c5acfa3e 1823ee69 "
+    "abeacd4c d3602097 a00900fc a00900fc c5acfa3e bcde22cb d6525e8d 539d803a "
+    "87a0059a a4412993 15c7c479 c3f5140d b331bca3 0d58c792 9dd502dc 3925d24d "
+    "a9275955 34b1e317 1fa607da 516885ca 0af67ec9 42a59bf6 00c04ce4 b41fcaba "
+    "0af67ec9 b456f37c 0b647a59 49de3a52 e53a0135 822c01df c0ab3e26 82bb98d7 "
+    "7a447f1a f96abb04 d146cc06 7909c7ac 99cadb69 b1fa4def 27441942 ea117f60 "
+    "ee7b92ac 9af7521c d7a78a78 d3babf9e 16d51e44 06e9631e 625c9814 882fbb9d "
+    "720f2607 8b7be62a 30de4909 a76bec12 1ef2f68a e817163b b6c794b9 1cf3d700 "
+    "5f4b8c03 a03ea68a e8052f84 61fe285d 1817fc1d 1817fc1d 1817fc1d 1817fc1d "
+    "1817fc1d 1817fc1d 1817fc1d 1817fc1d 1817fc1d 1817fc1d 1817fc1d 1817fc1d "
+    "1823ee69 c5acfa3e 1823ee69 abeacd4c d5821e22 1823ee69 1823ee69 d5821e22 "
+    "abeacd4c 1823ee69 d5821e22 c972d1de d8602068 1ee155bc 9f58e3b5 b331bca3 "
+    "d8e53311 c3f5140d 9f58e3b5 d6525e8d 01689650 601e8874 d6525e8d 106199a7 "
+    "83b9ad2f e5e84988 b530cd70 4750272c 1fa607da b41fcaba 7181a87d 5dbbfa53 "
+    "81d80da5 a3d860f6 11717675 9042e808 7cb973dc a86227b8 5610d963 9069916e "
+    "5dddd58a 7909c7ac 168c9cff 0fdb2810 3562d661 27bfcb51 135edf16 6930374f "
+    "71940bd7 0c6bdae3 5e7591be 52ac0ee5 f49a58c3 882fbb9d 7847733c 392d6f22 "
+    "990a7f6e 69da4df9 36955543 c81c635a 900ac021 aff577d7 efe29045 a2dbb72c "
+    "19273151 155382dc c972d1de bcde22cb c972d1de c972d1de 106199a7 34b1e317 "
+    "b525b888 cd630c48 71736ab9 8f2284ec c2d2af56 3fbbaaa4 79625ba0 40bdea72 "
+    "58678915 08d1a681 3e50ee07 9159fece 7e366297 b7258ab3 c21f5320 2430d9b4 "
+    "f8814a16 7f1b3d91 c972d1de d5821e22 c972d1de 1823ee69 34b1e317 b7cb8849 "
+    "106199a7 609cb3a1 44a6ccf0 7ffe94cb a4183654 852476d8 02e3a871 b6a9fb04 "
+    "5acae4be 6fce7907 d404f973 369447d9 b2805fb2 ae3b05ee 08e51619 0c9c6d1e "
+    "95fe08d1 92ba4e2b c972d1de d5821e22 c972d1de abeacd4c 8a285932 b7cb8849 "
+    "1a720d95 3be253b5 6211a45a d9a59367 8f2284ec 29886ff6 b5ea20cd cb59368e "
+    "8c4355ad cc041e6b e661eac1 e854a455 63eebcc8 82f23b8e 4c054869 cbb7e7fb "
+    "4b48c7d9 6dc21807 abeacd4c abeacd4c abeacd4c c5acfa3e 1c02b560 601e8874 "
+    "86a811a0 7d91d768 fbd9896c ced15f4f 283a7ede 5083c65a 85f126e7 787462b7 "
+    "5fed6bb5 372cb95d d1789e98 6d261dd6 d7790303 18b9dcab 2f9e4b73 af5b4348 "
+    "13136f6c 85c52eec a00900fc 1823ee69 abeacd4c c972d1de 2630d6a6 d6525e8d "
+    "2bc7e28c 6d62d61f 375f9d2b 5dbbfa53 d265b74f b41fcaba 59a691ba a306406a "
+    "bc020db2 100b9c54 c54f78d8 69567b63 55699055 e027e21f d233a213 44521c56 "
+    "f74412e7 bae22991 abeacd4c 1823ee69 abeacd4c d5821e22 601e8874 7e984187 "
+    "1c02b560 d6525e8d ced15f4f c38f1547 610733bc d0f3aa21 e7ebe62a 29684cfb "
+    "7e23d2dd b872b474 23e1a6b2 1c22e49a a2b8fea9 a7ae7e13 efcef665 00c65141 "
+    "6680d238 3021a809 3a9a5387 64a63c37 6568ae6f 7d335015 8f569e98 0d5762c0 "
+    "89abadf4 db42b04c 748977f5 63c78ed0 1bd9faaf bc7751e1 57ef626a a97778a4 "
+    "8f569e98 f95db3cc f32055eb db42b04c 78caa909 f1268a83 1bd9faaf a1713060 "
+    "a7e50b5e"
+).split()
+
+
 class TestLowerBound:
     def test_big_count_dominates(self):
         inst = validate_instance([(0.6, 0.24)] * 5, 100)  # mass 4.2, all big
@@ -295,6 +364,22 @@ class TestSolveExact:
         # nodes; a change to the search updates these counts on purpose
         res = solve_exact(gen(12, seed))
         assert (res.opt_length, res.proven, res.nodes_explored) == (opt, True, nodes)
+
+    def test_search_is_pinned(self):
+        # every state the search visits shows in nodes_explored, and the
+        # witness shows the order; a change to the search that is meant to
+        # visit the same states must keep every digest
+        expected = iter(SEARCH_DIGESTS)
+        count = 0
+        for label, inst, budget in pinned_search_cases():
+            res = solve_exact(inst, budget=budget)
+            text = repr((res.opt_length, res.nodes_explored, res.proven,
+                         res.packing.starts))
+            digest = hashlib.sha256(text.encode()).hexdigest()[:8]
+            assert digest == next(expected, None), \
+                f"first changed result: {label}: {text}"
+            count += 1
+        assert count == len(SEARCH_DIGESTS) == 401
 
     def test_proves_big_nonincreasing_n12(self):
         for seed in range(10):
