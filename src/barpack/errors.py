@@ -49,7 +49,8 @@ class InfeasibleMerge(BarpackError):
 
 
 class TooLarge(BarpackError):
-    """Input exceeds the brute-force enumeration guard."""
+    """Input exceeds a size guard: the brute-force matching enumeration's
+    edge count, or the depth the exact search can nest to."""
 
 
 class NotAMatching(BarpackError):

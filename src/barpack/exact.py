@@ -4,15 +4,15 @@ a Boolean-program exporter, and disassembly of packings into matchings.
 The solver is a branch-and-bound that places charts left to right in
 start order, seeded with the weighted-matching heuristic, and cuts states
 that an explored state dominates. It is meant for desk-scale verification:
-it proves big instances at n = 12 in well under a second, and everything
-it prunes on is exact integer arithmetic.
+it proves random big-nonincreasing instances at n = 12 (n = 14) in a
+median of N12 (N14), and everything it prunes on is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import JmaxTooSmall, NotBigInstance
+from .errors import JmaxTooSmall, NotBigInstance, TooLarge
 from .model import Instance, Packing, checked_occupancy, compact
 from .packers import pack_weighted_matching
 
@@ -22,6 +22,8 @@ DEFAULT_NODE_BUDGET = 10 ** 8
 # its own, so the memo stays near 80 MB and below ~230 MB. Past the cap
 # the search only cuts less.
 MEMO_CAP = 1_000_000
+# the search nests min(n, budget) calls under Python's default limit of 1,000
+MAX_SEARCH_DEPTH = 800
 
 
 @dataclass(frozen=True)
@@ -44,43 +46,50 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
     """Minimum packing length with a witness.
 
     Starts from the weighted-matching heuristic and searches below the
-    incumbent. proven is False when the node budget ran out, in which case
-    opt_length is only an upper bound.
+    incumbent. nodes_explored counts the states that pass the bound and
+    the memo; budget, an int >= 0, caps it. proven is False when the
+    budget ran out, in which case opt_length is only an upper bound.
+    TooLarge is raised at once when min(n, budget) > MAX_SEARCH_DEPTH.
 
-    Moves. The charts are placed in non-decreasing start order, so only
-    the last start cell p and the cell p + 1 are open; every cell left of
-    p is closed. The next chart starts at p (d = 0, no new cell), at p + 1
-    (d = 1, one new cell) or at p + 2 (d = 2, two new cells). The first
-    chart costs 2: the search starts with both open loads at D, where no
-    bar fits.
+    Moves. Charts are placed in non-decreasing start order, so only the
+    last start cell p and p + 1 are open; cells left of p are closed. The
+    next chart starts at p (d = 0, no new cell), p + 1 (d = 1, one new
+    cell) or p + 2 (d = 2, two new cells). The first chart costs 2: both
+    open loads start at D, where no bar fits.
 
-    Completeness. Sorting any feasible packing by start cell gives such a
-    sequence, except for gaps of d >= 3. A gap leaves an empty cell, which
-    compaction removes without changing which bars share a cell, so the
-    packing without it is reached with d = 2 at the same number of
-    occupied cells. Every cell up to the last start + 1 is occupied, so
-    the cost of a full sequence is its length.
+    Completeness. Sorting a feasible packing by start cell gives such a
+    sequence, except for gaps of d >= 3. Compaction removes the empty cell
+    such a gap leaves without changing which bars share a cell, so d = 2
+    reaches that packing at the same number of occupied cells. Every cell
+    up to the last start + 1 is occupied, so a sequence's cost is its length.
 
-    Bound. A state is cut when cost + max(0, tall bars left - open cells
-    at most 1/2, ceil((mass left - free room in the open cells) / D))
-    reaches the incumbent: each bar above 1/2 needs a cell of its own,
-    and the mass left needs room.
+    Bound. With room = incumbent - cost, a state is cut when room <= 0,
+    when tall bars left - open cells at most 1/2 >= room (each bar above
+    1/2 needs a cell of its own), or when mass left + both open loads >
+    (room + 1) * D (the mass left needs room). room <= 0 at a gap d ends
+    the node, since wider gaps cost more; room is read again after each
+    child, because the incumbent can drop there.
 
-    Dominance. A state is the multiset of placed charts (charts with
-    equal heights are one type, so their order does not matter), the cost
-    so far, and the open loads A and B. A state is cut when a state
-    already explored with the same multiset has cost, A and B all <= its
-    own: every continuation of the one is a continuation of the other, at
-    no greater cost. Before the lookup, an open load that no chart's bar
-    can still join is set to D (A when A + min a > D; B when both
-    B + min a > D and B + min b > D). That changes no move and lets more
-    states meet. The memo stays valid while the incumbent improves,
-    because the bound only tightens; it stops growing at MEMO_CAP
-    entries, past which the search only cuts less.
+    Type table. One row per type, built once, holds a, b, a + b, its tall
+    bars, its multiset digit and its d = 2 child's closed loads: that
+    child reads its whole state from the row, and a d = 1 child its B.
 
-    nodes_explored counts the states that pass the bound and the memo;
-    the budget caps it.
+    Dominance. A state is the multiset of placed charts (charts with equal
+    heights are one type, so their order does not matter), the cost so
+    far, and the open loads A and B. It is cut when an explored state with
+    the same multiset has cost, A and B all <= its own: every continuation
+    of the one is a continuation of the other, at no greater cost. Before
+    the lookup, an open load that no bar can still join is set to D (A
+    when A + min a > D; B when B + min a > D and B + min b > D); that
+    changes no move and lets more states meet. The memo stays valid while
+    the incumbent improves, because the bound only tightens; past
+    MEMO_CAP entries it stops growing and the search only cuts less.
     """
+    if type(budget) is not int or budget < 0:
+        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
+    if min(inst.n, budget) > MAX_SEARCH_DEPTH:
+        raise TooLarge(f"exact search over {inst.n} charts at budget {budget} "
+                       f"could nest deeper than {MAX_SEARCH_DEPTH} calls")
     seed = pack_weighted_matching(inst)
     best_len = seed.length
     best_packing = seed.packing
@@ -97,54 +106,57 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
         ids_of.setdefault((c.a, c.b), []).append(i)
     types = sorted(ids_of, key=lambda ab: (-max(ab), -(ab[0] + ab[1]), ab))
     left = [len(ids_of[ab]) for ab in types]
-    tall = [(2 * a > denom) + (2 * b > denom) for a, b in types]
-    # the placed multiset as one mixed-radix int over the types
-    radix = []
+    half = denom // 2
+    # an open load that no bar can still join reads as D (see Dominance)
+    close_a = denom - min(a for a, _ in types)
+    close_b = max(close_a, denom - min(b for _, b in types))
+    # the type table; the digits make the placed multiset one mixed-radix int
+    rows = []
     full = 0
-    for count in left:
-        radix.append(full + 1)
-        full += count * (full + 1)
-    min_a = min(a for a, _ in types)
-    min_b = min(b for _, b in types)
+    for t, (a, b) in enumerate(types):
+        a2 = denom if a > close_a else a
+        b2 = denom if b > close_b else b
+        rows.append((t, a, b, (a > half) + (b > half), a + b, a2, b2,
+                     (a2 <= half) + (b2 <= half), full + 1))
+        full += left[t] * (full + 1)
     memo = {}
     memo_size = 0
     moves = []
     best_moves = None
     nodes = 0
-    out_of_budget = False
 
     def search(key, cost, load_a, load_b, tall_left, mass_left):
-        nonlocal best_len, best_moves, nodes, out_of_budget, memo_size
+        nonlocal best_len, best_moves, nodes, memo_size
         if key == full:
             best_len = cost
             best_moves = tuple(moves)
             return
         for d in (0, 1, 2):
-            for t, (a, b) in enumerate(types):
+            new_cost = cost + d
+            room = best_len - new_cost
+            if room <= 0:
+                return
+            for t, a, b, tall_t, ab, a2, b2, small2, r in rows:
                 if not left[t]:
                     continue
-                if d == 0:
-                    if load_a + a > denom or load_b + b > denom:
-                        continue
-                    new_a, new_b = load_a + a, load_b + b
-                elif d == 1:
-                    if load_b + a > denom:
-                        continue
-                    new_a, new_b = load_b + a, b
+                if d == 2:
+                    new_a, new_b, small = a2, b2, small2
                 else:
-                    new_a, new_b = a, b
-                new_cost = cost + d
-                if new_a + min_a > denom:
-                    new_a = denom
-                if new_b + min_a > denom and new_b + min_b > denom:
-                    new_b = denom
-                new_tall = tall_left - tall[t]
-                new_mass = mass_left - a - b
-                small = (2 * new_a <= denom) + (2 * new_b <= denom)
-                spill = -((2 * denom - new_a - new_b - new_mass) // denom)
-                if new_cost + max(0, new_tall - small, spill) >= best_len:
+                    if d:
+                        new_a, new_b = load_b + a, b2
+                    else:
+                        new_a, new_b = load_a + a, load_b + b
+                    if new_a > denom or new_b > denom:
+                        continue
+                    new_a = denom if new_a > close_a else new_a
+                    new_b = denom if new_b > close_b else new_b
+                    small = (new_a <= half) + (new_b <= half)
+                # the bound (see Bound)
+                if tall_left - tall_t - small >= room:
                     continue
-                new_key = key + radix[t]
+                if mass_left - ab + new_a + new_b > (room + 1) * denom:
+                    continue
+                new_key = key + r
                 seen = memo.get(new_key)
                 if seen is not None:
                     dominated = False
@@ -157,7 +169,6 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
                         continue
                 nodes += 1
                 if nodes > budget:
-                    out_of_budget = True
                     return
                 if memo_size < MEMO_CAP:
                     memo_size += 1
@@ -167,13 +178,15 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
                         seen += (new_cost, new_a, new_b)
                 left[t] -= 1
                 moves.append((t, d))
-                search(new_key, new_cost, new_a, new_b, new_tall, new_mass)
+                search(new_key, new_cost, new_a, new_b, tall_left - tall_t,
+                       mass_left - ab)
                 moves.pop()
                 left[t] += 1
-                if out_of_budget:
+                if nodes > budget or best_len <= new_cost:
                     return
+                room = best_len - new_cost
 
-    search(0, 0, denom, denom, sum(c * h for c, h in zip(left, tall)),
+    search(0, 0, denom, denom, sum(c * row[3] for c, row in zip(left, rows)),
            inst.total_mass())
     del search  # it reaches itself through its closure cell
     if best_moves is not None:
@@ -185,7 +198,7 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
             starts[next(next_id[t])] = cell
         best_packing = Packing(tuple(starts))
     return ExactResult(best_len, compact(inst, best_packing), nodes,
-                       not out_of_budget)
+                       nodes <= budget)
 
 
 # ---------------------------------------------------------------------------

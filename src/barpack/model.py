@@ -131,7 +131,7 @@ def _check_assignment(inst: Instance, packing: Packing) -> None:
         raise UnassignedChart(
             f"packing assigns {len(packing.starts)} charts, instance has {inst.n}")
     for i, s in enumerate(packing.starts):
-        if not isinstance(s, int) or s < 1:
+        if type(s) is not int or s < 1:
             raise UnassignedChart(f"chart {i} has invalid start cell {s!r}")
         if s > 4 * inst.n:
             raise UnassignedChart(f"chart {i} start cell {s} is beyond cell {4 * inst.n}")

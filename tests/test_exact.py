@@ -7,7 +7,7 @@ import random
 import pytest
 
 from barpack import exact
-from barpack.errors import InfeasiblePacking, JmaxTooSmall, NotBigInstance
+from barpack.errors import InfeasiblePacking, JmaxTooSmall, NotBigInstance, TooLarge
 from barpack.exact import (
     DEFAULT_NODE_BUDGET,
     ExactResult,
@@ -380,6 +380,34 @@ class TestSolveExact:
                 f"first changed result: {label}: {text}"
             count += 1
         assert count == len(SEARCH_DIGESTS) == 401
+
+    @pytest.mark.parametrize("budget", [-1, True, False, 2.5, "5", None])
+    def test_budget_must_be_a_plain_int(self, budget, monkeypatch):
+        # refused before the seed solve, never halfway through the search
+        monkeypatch.setattr(exact, "pack_weighted_matching", None)
+        with pytest.raises(ValueError, match="budget must be an int >= 0"):
+            solve_exact(gen_big_nonincreasing(10, 0), budget=budget)
+
+    def test_zero_budget_returns_the_unproven_seed(self):
+        inst = gen_big_nonincreasing(10, 0)
+        res = solve_exact(inst, budget=0)
+        assert (res.opt_length, res.proven) == (pack_weighted_matching(inst).length, False)
+
+    def test_search_deeper_than_the_stack_is_refused(self, monkeypatch):
+        # the search nests one call per placed chart, so at n = 1,200 and
+        # budget 5,000 it would end in a RecursionError
+        inst = gen_big_nonincreasing(1200, 1)
+        monkeypatch.setattr(exact, "pack_weighted_matching", None)
+        with pytest.raises(TooLarge, match="1200 charts at budget 5000"):
+            solve_exact(inst, budget=5000)
+
+    def test_depth_guard_reads_the_smaller_of_n_and_budget(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_SEARCH_DEPTH", 5)
+        inst = gen_big_nonincreasing(6, 0)
+        with pytest.raises(TooLarge):
+            solve_exact(inst, budget=6)
+        assert solve_exact(inst, budget=5).nodes_explored <= 6
+        assert solve_exact(gen_big_nonincreasing(5, 0)).proven
 
     def test_proves_big_nonincreasing_n12(self):
         for seed in range(10):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from barpack import packers, report
 from barpack.cli import _worker_count, main
 from barpack.errors import BarpackError, InfeasiblePacking, InvariantViolation, MalformedJson
-from barpack.generators import gen_big, gen_general, gen_tight_family
+from barpack.generators import gen_big, gen_big_nonincreasing, gen_general, gen_tight_family
 from barpack.model import (
     Packing,
     instance_from_json,
@@ -359,6 +359,17 @@ class TestCli:
         outerr = capsys.readouterr()
         assert ran == [] and outerr.out == ""
         assert outerr.err.count("--budget only applies") == 2
+
+    def test_exact_search_too_deep_for_the_stack_exits_two(self, tmp_path, capsys):
+        # 1,200 charts at budget 5,000 would nest past Python's recursion
+        # limit; the search is refused before the seed solve, with a message
+        path = tmp_path / "big.json"
+        path.write_text(instance_to_json(gen_big_nonincreasing(1200, 1)))
+        assert main(["solve", str(path), "--algo", "exact", "--budget", "5000"]) == 2
+        outerr = capsys.readouterr()
+        assert outerr.out == ""
+        assert outerr.err == ("barpack: exact search over 1200 charts at budget 5000 "
+                              "could nest deeper than 800 calls\n")
 
 
 MALFORMED_INSTANCES = [

@@ -119,6 +119,14 @@ class TestOccupancy:
         with pytest.raises(UnassignedChart, match="chart 1 start cell 9 is beyond cell 8"):
             occupancy(inst, pk(1, 9))
 
+    @pytest.mark.parametrize("start", [True, 2.0, "1", None])
+    def test_non_int_start_rejected(self, start):
+        # a start cell is a plain int, as packing_from_json requires: True
+        # must not count as cell 1
+        inst = validate_instance([(0.7, 0.3), (0.35, 0.65)], 100)
+        with pytest.raises(UnassignedChart, match="chart 0 has invalid start cell"):
+            length(inst, pk(start, 3))
+
     def test_mass_conservation(self):
         inst = validate_instance([(0.7, 0.3), (0.35, 0.65), (0.2, 0.1)], 100)
         for starts in [(1, 2, 3), (1, 1, 4), (2, 5, 9)]:
