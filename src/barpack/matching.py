@@ -8,24 +8,26 @@ edge stays tight, so the solver skips the delta 2, 3 and 4 scans and builds
 no tight-edge lists. A brute-force enumerator over all matchings doubles as
 the independent test oracle.
 
-All arithmetic is integer; with integer weights the optimum is verified
-against the dual solution on every call, in the pass that reads back the
-matched edge ids.
+All arithmetic is integer; the optimum is verified against the dual solution
+and the edges themselves (not a Graph's adj) on every call, in the pass that
+reads back the matched edge ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, TooLarge
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: vertex count plus (u, v, weight) edges."""
+    """Simple undirected graph: vertex count plus (u, v, weight) edges, and
+    optionally the solver's adjacency map, trusted to equal _index(g)."""
 
     num_vertices: int
     edges: tuple[tuple[int, int, int], ...]
+    adj: list[dict[int, int]] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -42,11 +44,11 @@ def validate_graph(g: Graph) -> None:
     _index(g)
 
 
-def _index(g: Graph, unit: bool = False):
+def _index(g: Graph):
     """Check every edge and index it in the same pass: adj[v] maps v's neighbours
-    to edge weights (1 throughout if unit) in edge input order, since dicts keep
-    insertion order, and catches a duplicate in either orientation. Ids must be
-    plain ints: True would stand for vertex 1, and 0.5 for none."""
+    to edge weights in edge input order, since dicts keep insertion order, and
+    catches a duplicate in either orientation. Ids must be plain ints: True
+    would stand for vertex 1, and 0.5 for none."""
     n = g.num_vertices
     if type(n) is not int or n < 0:
         raise ValueError(f"vertex count {n!r} must be a non-negative integer")
@@ -62,7 +64,7 @@ def _index(g: Graph, unit: bool = False):
             raise ValueError(f"edge ({u}, {v}) weight {w!r} must be a non-negative integer")
         if v in adj[u]:
             raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
-        adj[u][v] = adj[v][u] = 1 if unit else w
+        adj[u][v] = adj[v][u] = w
     return adj
 
 
@@ -170,10 +172,11 @@ def _walk_edge(b, j, jstep):
     return p, q
 
 
-def _verify_optimum(edges, adj, mate, dualvar, blossomdual, blossomparent):
+def _verify_optimum(edges, unit, mate, dualvar, blossomdual, blossomparent):
     """Prove mate optimal by complementary slackness against the final (doubled)
-    duals and _index's adjacency map, integer-exact, and return the matched edge
-    ids. Raises InvariantViolation, so it also runs under python -O."""
+    duals and the edges' weights (1 throughout if unit), integer-exact, and return
+    the matched edge ids; every mate pair must be an edge, not just an adj entry.
+    Raises InvariantViolation, so it also runs under python -O."""
     if min(dualvar) < 0 or min(blossomdual.values(), default=0) < 0:
         raise InvariantViolation("matching solver left a negative dual")
     # held[b]: the positive-dual blossoms among b and its ancestors, parents first
@@ -188,8 +191,8 @@ def _verify_optimum(edges, adj, mate, dualvar, blossomdual, blossomparent):
         if mates[w] != v:
             raise InvariantViolation(f"vertex {v}'s mate {w} is one-sided")
     matched = []
-    for i, (u, v, _) in enumerate(edges):
-        s = dualvar[u] + dualvar[v] - 2 * adj[u][v]
+    for i, (u, v, w) in enumerate(edges):
+        s = dualvar[u] + dualvar[v] - (2 if unit else 2 * w)
         if inside[u] and inside[v]:
             # each blossom holding both ends adds its dual
             for b in inside[u] & inside[v]:
@@ -200,6 +203,8 @@ def _verify_optimum(edges, adj, mate, dualvar, blossomdual, blossomparent):
             if s != 0:
                 raise InvariantViolation(f"matched edge ({u}, {v}) is not tight")
             matched.append(i)
+    if 2 * len(matched) != len(mate):
+        raise InvariantViolation(f"{len(mate)} mated vertices, {len(matched)} matched edges")
     for v, dual in enumerate(dualvar):
         if mates[v] is None and dual != 0:
             raise InvariantViolation(f"free vertex {v} has dual {dual}")
@@ -223,10 +228,11 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     T (2) while alternating trees are grown from free vertices; tight edges
     between S-vertices either close a new blossom or yield an augmenting
     path; when no tight edge is available, the dual variables are adjusted
-    by the smallest of the four classic deltas. Weights come from _index's
-    adjacency map; duals and inblossom are lists by vertex. State that also
-    keys blossoms stays in dicts: their order fixes the delta-3 and end-of-stage
-    scans, and with them the weighted tie-breaks.
+    by the smallest of the four classic deltas. Weights come from g.adj, else
+    from _index(g); a unit solve reads none (its final check reads 1 per edge).
+    Duals and inblossom are lists by vertex. State that also keys blossoms stays
+    in dicts: their order fixes the delta-3 and end-of-stage scans, and with
+    them the weighted tie-breaks.
 
     The scan reads tight[v], v's neighbours w with dualvar[v] + dualvar[w] <=
     2 * weight in adj order (<=: an edge inside a blossom can have negative
@@ -257,7 +263,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
     unchanged) and expand them again, so mate, duals and the blossom dicts end
     the same. With no blossom every listed edge is tight, after dual steps too.
     """
-    adj = _index(g, unit)
+    adj = _index(g) if g.adj is None else g.adj
     if not g.edges:
         return Matching(frozenset())
 
@@ -577,7 +583,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
             if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
-    matched = _verify_optimum(g.edges, adj, mate, dualvar, blossomdual, blossomparent)
+    matched = _verify_optimum(g.edges, unit, mate, dualvar, blossomdual, blossomparent)
     # the recursive helpers reach themselves through closure cells; unlink
     # them so the solver state is freed now, not at some later GC pass
     del assign_label, expand_blossom, augment_blossom

@@ -106,6 +106,7 @@ def _run_rounds(inst: Instance, weighted: bool, forced_first=None) -> PackResult
         if chosen:
             charts, savings = _merge_round(charts, graph, chosen, inst.denominator)
             rounds.append(_round_stats(graph, chosen, savings, weighted))
+        del graph
     while len(charts) > 1:
         graph = build_graph(charts, inst.denominator)
         if not graph.edges:
@@ -116,6 +117,7 @@ def _run_rounds(inst: Instance, weighted: bool, forced_first=None) -> PackResult
         chosen = sorted(m.edge_indices)
         charts, savings = _merge_round(charts, graph, chosen, inst.denominator)
         rounds.append(_round_stats(graph, chosen, savings, weighted))
+        del graph  # its edges and adjacency go before the next build
     return _finish(inst, charts, rounds)
 
 

@@ -7,7 +7,9 @@ two-bar chart ended up (its provenance offset).
 
 The union graph is a plain matching Graph whose edges are (left, right, t):
 chart left goes first, the pair shares t cells, and t, the cells the union
-saves, is the edge's weight. The cardinality matcher reads every weight as 1.
+saves, is the edge's weight. The graph also carries the matcher's adjacency
+map, so the matcher does not index it again. The cardinality matcher reads
+every weight as 1.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ def build_graph(charts, denominator: int) -> Graph:
     unordered pair that admits a feasible union, realized exactly as
     best_union would. Chart left goes first and the two share t in {1, 2}
     cells, which is also the edge's weight. Edges come in (min, max) pair
-    order, whichever end goes first.
+    order, whichever end goes first, so the graph's adj, adj[v] = {w: t},
+    lists each vertex's neighbours in ascending order, as _index would.
 
     A union reads only the first two and last two cells of each side, so
     those are read once. A chart shorter than two cells stands in inf for
@@ -120,7 +123,11 @@ def build_graph(charts, denominator: int) -> Graph:
                 edges.append((u, v, 1))
             elif lv <= rf:
                 edges.append((v, u, 1))
-    return Graph(n, tuple(edges))
+    edges = tuple(edges)  # before adj, so the list is gone by then
+    adj = [{} for _ in ids]
+    for u, v, t in edges:
+        adj[u][v] = adj[v][u] = t
+    return Graph(n, edges, adj)
 
 
 def graph_to_edge_list(graph: Graph) -> str:

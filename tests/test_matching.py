@@ -91,9 +91,9 @@ def record_final_state(monkeypatch):
     """Record the blossoms each solve ends with, as _verify_optimum sees them."""
     seen, verify = {}, matching._verify_optimum
 
-    def recording_verify(edges, adj, mate, dualvar, blossomdual, blossomparent):
+    def recording_verify(edges, unit, mate, dualvar, blossomdual, blossomparent):
         seen.update(blossomdual=blossomdual, blossomparent=blossomparent)
-        return verify(edges, adj, mate, dualvar, blossomdual, blossomparent)
+        return verify(edges, unit, mate, dualvar, blossomdual, blossomparent)
     monkeypatch.setattr(matching, "_verify_optimum", recording_verify)
     return seen
 
@@ -196,12 +196,13 @@ class TestMaxWeight:
 
 
 # _verify_optimum reads doubled duals: dual 1 on both ends makes a weight-1
-# edge tight. The path 0-1-2-3 has the perfect matching {0-1, 2-3}.
+# edge tight. The path 0-1-2-3 has the perfect matching {0-1, 2-3}. Its second
+# argument, unit, is False wherever the edges' own weights are to be read.
 PATH = ((0, 1, 1), (1, 2, 1), (2, 3, 1))
 
 
 def adjacency(edges, n):
-    """The solver's adjacency map over edges on n vertices."""
+    """The solver's adjacency map over edges on n vertices, as _index builds it."""
     adj = [{} for _ in range(n)]
     for u, v, w in edges:
         adj[u][v] = adj[v][u] = w
@@ -217,15 +218,14 @@ def triangle_blossom(edges):
     b = _Blossom()
     b.childs, b.edges = [0, 1, 2], edges
     triangle = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
-    return (triangle, adjacency(triangle, 3), {0: 1, 1: 0},
+    return (triangle, False, {0: 1, 1: 0},
             [0] * 3, {b: 1}, {0: b, 1: b, 2: b, b: None})
 
 
 class TestVerifyOptimum:
     def test_accepts_an_optimum(self):
         # and returns the matched edges' ids
-        assert _verify_optimum(PATH, adjacency(PATH, 4), PERFECT, [1] * 4, {},
-                               UNNESTED) == [0, 2]
+        assert _verify_optimum(PATH, False, PERFECT, [1] * 4, {}, UNNESTED) == [0, 2]
         assert _verify_optimum(*triangle_blossom([(2, 0), (0, 1), (1, 2)])) == [0]
 
     @pytest.mark.parametrize("mate, duals, message", [
@@ -238,7 +238,7 @@ class TestVerifyOptimum:
     ])
     def test_rejects_a_non_optimum(self, mate, duals, message):
         with pytest.raises(InvariantViolation, match=message):
-            _verify_optimum(PATH, adjacency(PATH, 4), mate, list(duals), {}, UNNESTED)
+            _verify_optimum(PATH, False, mate, list(duals), {}, UNNESTED)
 
     def test_rejects_a_blossom_that_is_not_full(self):
         with pytest.raises(InvariantViolation, match="blossom"):
@@ -252,7 +252,7 @@ class TestVerifyOptimum:
             [(2, 0), (0, 1), (1, 2)])
         edges = [*triangle, edge]
         with pytest.raises(InvariantViolation, match=r"\(\d, \d\) has negative slack -2"):
-            _verify_optimum(edges, adjacency(edges, 4), mate, [*duals, 0],
+            _verify_optimum(edges, False, mate, [*duals, 0],
                             blossomdual, {**parent, 3: None})
 
     @pytest.mark.parametrize("inner_dual, weight_32, ok", [
@@ -264,7 +264,7 @@ class TestVerifyOptimum:
         inner.childs, inner.edges = [0, 1, 2], [(2, 0), (0, 1), (1, 2)]
         outer.childs, outer.edges = [inner, 3, 4], [(2, 3), (3, 4), (4, 2)]
         edges = [(0, 1, 2), (1, 2, 2), (0, 2, 2), (3, 2, weight_32), (3, 4, 1), (2, 4, 1)]
-        args = (edges, adjacency(edges, 5), {0: 1, 1: 0, 3: 4, 4: 3},
+        args = (edges, False, {0: 1, 1: 0, 3: 4, 4: 3},
                 [0] * 5, {inner: inner_dual, outer: 1},
                 {0: inner, 1: inner, 2: inner, 3: outer, 4: outer,
                  inner: outer, outer: None})
@@ -274,15 +274,17 @@ class TestVerifyOptimum:
             with pytest.raises(InvariantViolation, match="negative slack -2"):
                 _verify_optimum(*args)
 
-    @pytest.mark.parametrize("weight, ok", [(1, True), (2, False)])
-    def test_a_zero_dual_blossom_inside_a_positive_one_adds_nothing(self, weight, ok):
+    @pytest.mark.parametrize("weight, unit, ok", [
+        (1, False, True), (2, False, False), (2, True, True)])
+    def test_a_zero_dual_blossom_inside_a_positive_one_adds_nothing(self, weight, unit, ok):
         # the triangle 0-1-2 keeps dual 0 inside a blossom of dual 1 with 3
-        # and 4, so every edge gets the outer dual alone: enough for weight 1
+        # and 4, so every edge gets the outer dual alone: enough for weight 1,
+        # and for weight 2 read as 1 by a unit solve
         inner, outer = _Blossom(), _Blossom()
         inner.childs, inner.edges = [0, 1, 2], [(2, 0), (0, 1), (1, 2)]
         outer.childs, outer.edges = [inner, 3, 4], [(2, 3), (3, 4), (4, 2)]
         edges = [(0, 1, weight), (1, 2, 1), (0, 2, 1), (3, 2, 1), (3, 4, 1), (2, 4, 1)]
-        args = (edges, adjacency(edges, 5), {0: 1, 1: 0, 3: 4, 4: 3},
+        args = (edges, unit, {0: 1, 1: 0, 3: 4, 4: 3},
                 [0] * 5, {inner: 0, outer: 1},
                 {0: inner, 1: inner, 2: inner, 3: outer, 4: outer,
                  inner: outer, outer: None})
@@ -306,7 +308,7 @@ class TestVerifyOptimum:
         nest = [_Blossom() for _ in range(1000)]
         parent = CountingDict({v: nest[0] for v in range(6)})
         parent.update(zip(nest, [*nest[1:], None]))
-        ids = _verify_optimum(k6, adjacency(k6, 6), {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4},
+        ids = _verify_optimum(k6, False, {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4},
                               [1] * 6, dict.fromkeys(nest, 0), parent)
         assert ids == [0, 9, 14]
         assert CountingDict.lookups <= 3 * (6 + len(k6) + len(nest))
@@ -324,8 +326,7 @@ class TestVerifyOptimum:
             "from barpack.errors import InvariantViolation",
             "from barpack.matching import _verify_optimum",
             "try:",
-            "    _verify_optimum(((0, 1, 1), (1, 2, 1), (2, 3, 1)),",
-            "                    [{1: 1}, {0: 1, 2: 1}, {1: 1, 3: 1}, {2: 1}], {1: 2, 2: 1},",
+            "    _verify_optimum(((0, 1, 1), (1, 2, 1), (2, 3, 1)), False, {1: 2, 2: 1},",
             "                    [1] * 4, {}, dict.fromkeys(range(4)))",
             "except InvariantViolation:",
             "    print('raised')",
@@ -334,6 +335,39 @@ class TestVerifyOptimum:
         run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=60)
         assert run.stdout.strip() == "raised", run.stderr
+
+
+class TestSuppliedAdjacency:
+    """The solver trusts a Graph's adj unchecked; the final check still holds
+    its result to g.edges."""
+
+    # the path's first two edges under an adj that adds 2-3, which the only
+    # perfect matching of the adj needs; then the path under an adj without 0-1
+    CASES = [((PATH[:2], adjacency(PATH, 4)), "4 mated vertices, 1 matched edges"),
+             ((PATH, adjacency(PATH[1:], 4)), r"edge \(0, 1\) has negative slack")]
+
+    @pytest.mark.parametrize("solve", [max_weight_matching, max_cardinality_matching])
+    @pytest.mark.parametrize("case, message", CASES, ids=["extra pair", "missing edge"])
+    def test_a_wrong_adjacency_raises(self, solve, case, message):
+        edges, adj = case
+        with pytest.raises(InvariantViolation, match=message):
+            solve(Graph(4, edges, adj))
+
+    def test_a_wrong_adjacency_raises_under_python_O(self):
+        code = "\n".join([
+            "from barpack.errors import InvariantViolation",
+            "from barpack.matching import Graph, max_cardinality_matching, max_weight_matching",
+            f"for edges, adj in {[case for case, _ in self.CASES]!r}:",
+            "    for solve in (max_weight_matching, max_cardinality_matching):",
+            "        try:",
+            "            solve(Graph(4, edges, adj))",
+            "        except InvariantViolation:",
+            "            print('raised')",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(barpack.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.stdout.split() == ["raised"] * 4, run.stderr
 
 
 class TestBruteForce:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from barpack.generators import (
     generate,
     tight_family_forced_pairs,
 )
-from barpack.matching import max_cardinality_matching, max_weight_matching
+from barpack.matching import Graph, _index, max_cardinality_matching, max_weight_matching
 from barpack.model import BarChart, is_feasible, length, occupancy, validate_instance
 from barpack.packers import (
     pack_first_fit,
@@ -32,7 +33,7 @@ from barpack.packers import (
     pack_weighted_matching,
     realize,
 )
-from barpack.unions import chart_from_bars, merge
+from barpack.unions import build_graph, chart_from_bars, merge
 from test_matching import random_graph
 
 
@@ -158,6 +159,25 @@ class TestForcedFirstMatching:
         inst = validate_instance([(0.4, 0.6), (0.6, 0.4)], 10)
         forced = pack_forced_first_matching(inst, [(0, 1)])
         assert forced.length == pack_weighted_matching(inst).length == 2
+
+
+class TestRoundMemory:
+    def test_each_round_frees_its_graph_before_the_next_build(self, monkeypatch):
+        # two rounds' edges and adjacency maps must never coexist
+        built = []
+
+        def build(charts, denominator):
+            assert [ref() for ref in built] == [None] * len(built)
+            graph = build_graph(charts, denominator)
+            built.append(weakref.ref(graph))
+            return graph
+        monkeypatch.setattr(packers, "build_graph", build)
+        inst = gen_tight_family(2, 100)
+        for run in (pack_matching, pack_weighted_matching,
+                    lambda i: pack_forced_first_matching(i, tight_family_forced_pairs(i))):
+            built.clear()
+            run(inst)
+            assert len(built) >= 2
 
 
 class TestFirstFit:
@@ -396,14 +416,37 @@ class TestCorpus:
                 digest.update(repr(sorted(solve(g).edge_indices)).encode())
         assert digest.hexdigest()[:16] == "89b0c622ce6f50dc"
 
+    def test_union_graph_adjacency_is_the_index_it_replaces(self, monkeypatch):
+        # every union graph both packers build carries _index's adjacency, key
+        # for key in the same order, and both solvers return on it what they
+        # return after indexing the bare edges themselves; the unit solves
+        # read adjacency maps that hold weight 2
+        graphs = []
+
+        def record(charts, denominator):
+            graphs.append(build_graph(charts, denominator))
+            return graphs[-1]
+        monkeypatch.setattr(packers, "build_graph", record)
+        for _, inst in corpus():
+            pack_matching(inst)
+            pack_weighted_matching(inst)
+        assert len(graphs) == 496
+        assert sum(2 in {w for _, _, w in g.edges} for g in graphs) == 127
+        for g in graphs:
+            assert [list(a.items()) for a in g.adj] == [list(a.items()) for a in _index(g)]
+            bare = Graph(g.num_vertices, g.edges)
+            assert bare.adj is None and bare == g
+            for solve in (max_weight_matching, max_cardinality_matching):
+                assert solve(g) == solve(bare)
+
     def test_verified_ids_are_the_mate_filter_ids(self, monkeypatch):
         # _verify_optimum collects the matched edge ids in its slackness
         # pass; on every corpus graph they must be the ids that a filter for
         # mate.get(u) == v over the edges picks
         verify, checked = matching._verify_optimum, []
 
-        def compare(edges, adj, mate, *duals):
-            ids = verify(edges, adj, mate, *duals)
+        def compare(edges, unit, mate, *duals):
+            ids = verify(edges, unit, mate, *duals)
             assert ids == [i for i, (u, v, _) in enumerate(edges) if mate.get(u) == v]
             checked.append(ids)
             return ids

@@ -16,6 +16,7 @@ from barpack.generators import (
     gen_tight_family,
     generate,
 )
+from barpack.matching import _index
 from barpack.model import BarChart, Instance, Packing, occupancy
 from barpack.packers import pack_matching, pack_weighted_matching
 from barpack.unions import (
@@ -226,7 +227,9 @@ class TestBuildGraphShortCharts:
     @given(short_charts())
     def test_matches_best_union(self, case):
         charts, denom = case
-        assert list(build_graph(charts, denom).edges) == _reference_edges(charts, denom)
+        graph = build_graph(charts, denom)
+        assert list(graph.edges) == _reference_edges(charts, denom)
+        assert [list(a.items()) for a in graph.adj] == [list(a.items()) for a in _index(graph)]
 
 
 class TestProvenanceSoundness:
