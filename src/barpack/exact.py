@@ -198,7 +198,8 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
             cell += d
             starts[next(next_id[t])] = cell
         best_packing = Packing(tuple(starts))
-    return ExactResult(best_len, compact(inst, best_packing), nodes,
+    # a node past the budget is counted but never explored
+    return ExactResult(best_len, compact(inst, best_packing), min(nodes, budget),
                        nodes <= budget)
 
 

@@ -229,9 +229,9 @@ SEARCH_DIGESTS = (
     "1c02b560 d6525e8d ced15f4f c38f1547 610733bc d0f3aa21 e7ebe62a 29684cfb "
     "7e23d2dd b872b474 23e1a6b2 1c22e49a a2b8fea9 a7ae7e13 efcef665 00c65141 "
     "6680d238 3021a809 3a9a5387 64a63c37 6568ae6f 7d335015 8f569e98 0d5762c0 "
-    "89abadf4 db42b04c 748977f5 63c78ed0 1bd9faaf bc7751e1 57ef626a a97778a4 "
-    "8f569e98 f95db3cc f32055eb db42b04c 78caa909 f1268a83 1bd9faaf a1713060 "
-    "a7e50b5e"
+    "89abadf4 db42b04c 748977f5 63c78ed0 1bd9faaf bc7751e1 57ef626a 96a602dc "
+    "8f569e98 6b610c4a 0b0b3c3a db42b04c 61648125 9a07a1f0 1bd9faaf 02e40abb "
+    "05855347"
 ).split()
 
 
@@ -391,7 +391,13 @@ class TestSolveExact:
     def test_zero_budget_returns_the_unproven_seed(self):
         inst = gen_big_nonincreasing(10, 0)
         res = solve_exact(inst, budget=0)
-        assert (res.opt_length, res.proven) == (pack_weighted_matching(inst).length, False)
+        assert (res.opt_length, res.nodes_explored, res.proven) == (
+            pack_weighted_matching(inst).length, 0, False)
+
+    def test_budget_caps_the_nodes_explored(self):
+        # the node that would pass the budget is not explored, so not counted
+        res = solve_exact(gen_big_nonincreasing(12, 0), budget=300)
+        assert (res.nodes_explored, res.proven) == (300, False)
 
     def test_search_deeper_than_the_stack_is_refused(self, monkeypatch):
         # the search nests one call per placed chart, so at n = 1,200 and
@@ -406,7 +412,7 @@ class TestSolveExact:
         inst = gen_big_nonincreasing(6, 0)
         with pytest.raises(TooLarge):
             solve_exact(inst, budget=6)
-        assert solve_exact(inst, budget=5).nodes_explored <= 6
+        assert solve_exact(inst, budget=5).nodes_explored <= 5
         assert solve_exact(gen_big_nonincreasing(5, 0)).proven
 
     def test_proves_big_nonincreasing_n12(self):
