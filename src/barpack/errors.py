@@ -49,8 +49,7 @@ class InfeasibleMerge(BarpackError):
 
 
 class TooLarge(BarpackError):
-    """Input exceeds a size guard: the brute-force matching enumeration's
-    edge count, or the depth the exact search can nest to."""
+    """A graph exceeds brute_force_matching's enumeration guard of 24 edges."""
 
 
 class NotAMatching(BarpackError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import JmaxTooSmall, NotBigInstance, TooLarge
+from .errors import JmaxTooSmall, NotBigInstance
 from .model import Instance, Packing, checked_occupancy, compact
 from .packers import pack_weighted_matching
 
@@ -23,8 +23,6 @@ DEFAULT_NODE_BUDGET = 10 ** 8
 # its own, so the memo stays near 80 MB and below ~230 MB. Past the cap
 # the search only cuts less.
 MEMO_CAP = 1_000_000
-# the search nests min(n, budget) calls under Python's default limit of 1,000
-MAX_SEARCH_DEPTH = 800
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,6 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
     incumbent. nodes_explored counts the states that pass the bound and
     the memo; budget, an int >= 0, caps it. proven is False when the
     budget ran out, in which case opt_length is only an upper bound.
-    TooLarge is raised at once when min(n, budget) > MAX_SEARCH_DEPTH.
 
     Moves. Charts are placed in non-decreasing start order, so only the
     last start cell p and p + 1 are open; cells left of p are closed. The
@@ -88,9 +85,6 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
     """
     if type(budget) is not int or budget < 0:
         raise ValueError(f"budget must be an int >= 0, got {budget!r}")
-    if min(inst.n, budget) > MAX_SEARCH_DEPTH:
-        raise TooLarge(f"exact search over {inst.n} charts at budget {budget} "
-                       f"could nest deeper than {MAX_SEARCH_DEPTH} calls")
     seed = pack_weighted_matching(inst)
     best_len = seed.length
     best_packing = seed.packing
@@ -126,7 +120,8 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
     best_moves = None
     nodes = 0
 
-    def search(key, cost, load_a, load_b, tall_left, mass_left):
+    def expand(key, cost, load_a, load_b, tall_left, mass_left):
+        # yields each child's state, which the loop below expands before resuming it
         nonlocal best_len, best_moves, nodes, memo_size
         if key == full:
             best_len = cost
@@ -179,7 +174,7 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
                         seen += (new_cost, new_a, new_b)
                 left[t] -= 1
                 moves.append((t, d))
-                search(new_key, new_cost, new_a, new_b, tall_left - tall_t,
+                yield (new_key, new_cost, new_a, new_b, tall_left - tall_t,
                        mass_left - ab)
                 moves.pop()
                 left[t] += 1
@@ -187,9 +182,14 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
                     return
                 room = best_len - new_cost
 
-    search(0, 0, denom, denom, sum(c * row[3] for c, row in zip(left, rows)),
-           inst.total_mass())
-    del search  # it reaches itself through its closure cell
+    stack = [expand(0, 0, denom, denom,
+                    sum(c * row[3] for c, row in zip(left, rows)), inst.total_mass())]
+    while stack:
+        for child in stack[-1]:
+            stack.append(expand(*child))
+            break
+        else:
+            stack.pop()
     if best_moves is not None:
         next_id = [iter(ids_of[ab]) for ab in types]
         starts = [0] * inst.n
@@ -198,7 +198,6 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
             cell += d
             starts[next(next_id[t])] = cell
         best_packing = Packing(tuple(starts))
-    # a node past the budget is counted but never explored
     return ExactResult(best_len, compact(inst, best_packing), min(nodes, budget),
                        nodes <= budget)
 

@@ -281,20 +281,21 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
 
     def assign_label(w, t, v):
         # label the top-level blossom containing w, reached through edge (v, w)
-        b = inblossom[w]
-        assert label.get(w) is None and label.get(b) is None
-        label[w] = label[b] = t
-        labeledge[w] = labeledge[b] = (v, w)
-        if t == 1:
-            # S-blossom: its vertices join the scan queue
-            if isinstance(b, _Blossom):
-                queue.extend(b.leaves())
-            else:
-                queue.append(b)
-        elif t == 2:
+        while 1:
+            b = inblossom[w]
+            assert label.get(w) is None and label.get(b) is None
+            label[w] = label[b] = t
+            labeledge[w] = labeledge[b] = (v, w)
+            if t == 1:
+                break
             # T-blossom: its base's mate becomes an S-vertex
-            base = blossombase[b]
-            assign_label(mate[base], 1, base)
+            v = blossombase[b]
+            w, t = mate[v], 1
+        # S-blossom: its vertices join the scan queue
+        if isinstance(b, _Blossom):
+            queue.extend(b.leaves())
+        else:
+            queue.append(b)
 
     def scan_blossom(v, w):
         # trace back from v and w; returns the base of a new blossom, or
@@ -364,17 +365,19 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
             inblossom[v] = b
 
     def expand_blossom(b, endstage):
-        # recursion depth is bounded by blossom nesting, itself < n/2
-        for s in b.childs:
-            blossomparent[s] = None
-            if isinstance(s, _Blossom):
-                if endstage and blossomdual[s] == 0:
-                    expand_blossom(s, endstage)
+        # at a stage's end, zero-dual sub-blossoms go too: the list grows as they turn up
+        expanded = [b]
+        for x in expanded:
+            for s in x.childs:
+                blossomparent[s] = None
+                if isinstance(s, _Blossom):
+                    if endstage and blossomdual[s] == 0:
+                        expanded.append(s)
+                    else:
+                        for v in s.leaves():
+                            inblossom[v] = s
                 else:
-                    for v in s.leaves():
-                        inblossom[v] = s
-            else:
-                inblossom[s] = s
+                    inblossom[s] = s
         # a T-blossom expanded mid-stage must relabel its children
         if (not endstage) and label.get(b) == 2:
             entrychild = inblossom[labeledge[b][1]]
@@ -413,36 +416,37 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                     label[mate[blossombase[bv]]] = None
                     assign_label(v, 2, labeledge[v][0])
                 j += jstep
-        label.pop(b, None)
-        labeledge.pop(b, None)
-        del blossomparent[b], blossombase[b], blossomdual[b]
+        for x in expanded:
+            label.pop(x, None)
+            labeledge.pop(x, None)
+            del blossomparent[x], blossombase[x], blossomdual[x]
 
     def augment_blossom(b, v):
-        # swap matched/unmatched edges along the path from v to b's base
-        t = v
-        while blossomparent[t] != b:
-            t = blossomparent[t]
-        if isinstance(t, _Blossom):
-            augment_blossom(t, v)
-        i, jstep = _walk_start(b, t)
-        j = i
-        while j != 0:
-            j += jstep
-            t = b.childs[j]
-            w, x = _walk_edge(b, j, jstep)
-            if isinstance(t, _Blossom):
-                augment_blossom(t, w)
-            j += jstep
-            t = b.childs[j]
-            if isinstance(t, _Blossom):
-                augment_blossom(t, x)
-            mate[w], mate[x] = x, w
-        # rotate children so the new base comes first (a negative i, from
-        # a forward walk, slices the same rotation)
-        b.childs = b.childs[i:] + b.childs[:i]
-        b.edges = b.edges[i:] + b.edges[:i]
-        blossombase[b] = blossombase[b.childs[0]]
-        assert blossombase[b] == v
+        # swap matched/unmatched edges along the path from v to b's base, then inside
+        # each child on it from its entry vertex (children hold disjoint vertices)
+        work = [(b, v)]
+        while work:
+            b, v = work.pop()
+            if not isinstance(b, _Blossom):
+                continue
+            t = v
+            while blossomparent[t] != b:
+                t = blossomparent[t]
+            work.append((t, v))
+            i, jstep = _walk_start(b, t)
+            j = i
+            while j != 0:
+                j += jstep
+                w, x = _walk_edge(b, j, jstep)
+                work.append((b.childs[j], w))
+                j += jstep
+                work.append((b.childs[j], x))
+                mate[w], mate[x] = x, w
+            # rotate children so the new base comes first (a negative i, from
+            # a forward walk, slices the same rotation)
+            b.childs = b.childs[i:] + b.childs[:i]
+            b.edges = b.edges[i:] + b.edges[:i]
+            blossombase[b] = v
 
     def augment_matching(v, w):
         for s, j in ((v, w), (w, v)):
@@ -584,7 +588,4 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 expand_blossom(b, True)
 
     matched = _verify_optimum(g.edges, unit, mate, dualvar, blossomdual, blossomparent)
-    # the recursive helpers reach themselves through closure cells; unlink
-    # them so the solver state is freed now, not at some later GC pass
-    del assign_label, expand_blossom, augment_blossom
     return Matching(frozenset(matched))

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from barpack import exact
-from barpack.errors import InfeasiblePacking, JmaxTooSmall, NotBigInstance, TooLarge
+from barpack.errors import InfeasiblePacking, JmaxTooSmall, NotBigInstance
 from barpack.exact import (
     DEFAULT_NODE_BUDGET,
     ExactResult,
@@ -342,7 +342,7 @@ class TestSolveExact:
         assert res.opt_length == naive_opt(inst) == opt
 
     def test_leaves_no_reference_cycles(self):
-        # the recursive search and its memo must be freed on return, not
+        # the search's generators and its memo must be freed on return, not
         # whenever the cyclic collector next runs
         inst = gen_tight_family(2, 100)
         gc.collect()
@@ -398,22 +398,7 @@ class TestSolveExact:
         # the node that would pass the budget is not explored, so not counted
         res = solve_exact(gen_big_nonincreasing(12, 0), budget=300)
         assert (res.nodes_explored, res.proven) == (300, False)
-
-    def test_search_deeper_than_the_stack_is_refused(self, monkeypatch):
-        # the search nests one call per placed chart, so at n = 1,200 and
-        # budget 5,000 it would end in a RecursionError
-        inst = gen_big_nonincreasing(1200, 1)
-        monkeypatch.setattr(exact, "pack_weighted_matching", None)
-        with pytest.raises(TooLarge, match="1200 charts at budget 5000"):
-            solve_exact(inst, budget=5000)
-
-    def test_depth_guard_reads_the_smaller_of_n_and_budget(self, monkeypatch):
-        monkeypatch.setattr(exact, "MAX_SEARCH_DEPTH", 5)
-        inst = gen_big_nonincreasing(6, 0)
-        with pytest.raises(TooLarge):
-            solve_exact(inst, budget=6)
-        assert solve_exact(inst, budget=5).nodes_explored <= 5
-        assert solve_exact(gen_big_nonincreasing(5, 0)).proven
+        assert solve_exact(gen_big_nonincreasing(6, 0), budget=5).nodes_explored <= 5
 
     def test_proves_big_nonincreasing_n12(self):
         for seed in range(10):

@@ -360,16 +360,15 @@ class TestCli:
         assert ran == [] and outerr.out == ""
         assert outerr.err.count("--budget only applies") == 2
 
-    def test_exact_search_too_deep_for_the_stack_exits_two(self, tmp_path, capsys):
-        # 1,200 charts at budget 5,000 would nest past Python's recursion
-        # limit; the search is refused before the seed solve, with a message
+    def test_exact_search_over_a_long_instance_runs_out_of_budget(self, tmp_path, capsys):
+        # the search places all 1,200 charts, one level each, and beats the
+        # seed's L=1599 before the budget runs out
         path = tmp_path / "big.json"
         path.write_text(instance_to_json(gen_big_nonincreasing(1200, 1)))
-        assert main(["solve", str(path), "--algo", "exact", "--budget", "5000"]) == 2
+        assert main(["solve", str(path), "--algo", "exact", "--budget", "5000"]) == 0
         outerr = capsys.readouterr()
-        assert outerr.out == ""
-        assert outerr.err == ("barpack: exact search over 1200 charts at budget 5000 "
-                              "could nest deeper than 800 calls\n")
+        assert outerr.out == "algo=exact n=1200 L=1583 rounds=0 proven=false\n"
+        assert outerr.err == ""
 
 
 MALFORMED_INSTANCES = [
