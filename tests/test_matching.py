@@ -467,6 +467,23 @@ class TestClassicGraphs:
         assert is_valid_matching(g, mc)
         assert mc.cardinality() == brute_force_matching(g, "cardinality").cardinality()
 
+    def test_expanded_blossoms_leave_no_state(self, monkeypatch):
+        # expanding a blossom at a stage's end also expands its zero-dual
+        # sub-blossoms; each must leave the solver's blossom dicts with it
+        seen = record_final_state(monkeypatch)
+        for edges, _ in CLASSIC_GRAPHS.values():
+            g = Graph(1 + max(max(u, v) for u, v, _ in edges), tuple(edges))
+            for solve in (max_weight_matching, max_cardinality_matching):
+                solve(g)
+                parent, live = seen["blossomparent"], set()
+                for v in range(g.num_vertices):
+                    b = parent[v]
+                    while b is not None:
+                        live.add(b)
+                        b = parent[b]
+                assert set(seen["blossomdual"]) == live
+                assert set(parent) == live | set(range(g.num_vertices))
+
     def test_every_solver_line_runs(self):
         # the classic graphs plus the empty graph reach every line of the
         # solver and its closures, the rare delta-4 and blossom-walk ones too,

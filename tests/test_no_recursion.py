@@ -62,8 +62,8 @@ def call_depth():
 
 
 def test_solvers_run_in_a_shallow_stack():
-    # at n = 300 the parent's recursive search and blossom helpers nested
-    # well past 50 frames; each call here needs only a fixed few
+    # a search or blossom helper that recursed would nest well past 50
+    # frames at n = 300; each call here needs only a fixed few
     inst = gen_big_nonincreasing(300, 1)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(call_depth() + 50)
