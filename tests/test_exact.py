@@ -169,14 +169,21 @@ def differential_sweep():
 
 def pinned_search_cases():
     """(label, instance, budget) for the search pin: the differential sweep
-    at the default budget, then big-nonincreasing n=12 seeds 0-9 at a budget
-    that proves them all and at one that runs out."""
+    at the default budget; big-nonincreasing n=12 seeds 0-9 at a budget
+    that proves them all and at one that runs out; big-nonincreasing n=10
+    seeds 0-19 at 10,000 nodes, where A is closed in every state; and
+    general n=10 seeds 0-19, where A is mostly open."""
     for i, inst in enumerate(differential_sweep()):
         yield f"differential_sweep()[{i}]", inst, DEFAULT_NODE_BUDGET
     for budget in (2_000_000, 300):
         for seed in range(10):
             yield (f"gen_big_nonincreasing(12, {seed}) at budget {budget}",
                    gen_big_nonincreasing(12, seed), budget)
+    for seed in range(20):
+        yield (f"gen_big_nonincreasing(10, {seed}) at budget 10000",
+               gen_big_nonincreasing(10, seed), 10_000)
+    for seed in range(20):
+        yield f"gen_general(10, {seed})", gen_general(10, seed), DEFAULT_NODE_BUDGET
 
 
 # sha256(repr((opt_length, nodes_explored, proven, starts)))[:8] per case
@@ -231,7 +238,12 @@ SEARCH_DIGESTS = (
     "6680d238 3021a809 3a9a5387 64a63c37 6568ae6f 7d335015 8f569e98 0d5762c0 "
     "89abadf4 db42b04c 748977f5 63c78ed0 1bd9faaf bc7751e1 57ef626a 96a602dc "
     "8f569e98 6b610c4a 0b0b3c3a db42b04c 61648125 9a07a1f0 1bd9faaf 02e40abb "
-    "05855347"
+    "05855347 8460130a 15b8b452 7052f0d6 dd149cd8 088c9355 8a6f176e 37f2bc75 "
+    "482488cd ae2f5c08 e6a2cfa7 89f0c6c7 6d652774 8674fe9e 8eda5d18 94732081 "
+    "dbcb6ecb 1955ced9 93de0eaf c1f242e1 131db103 8d2f6ff8 3bca7cb4 d84fa67d "
+    "ed3438e0 1e81e735 9cc3833d e6f0540a 0f55f6e6 899685b6 7fcee747 1688c35d "
+    "aad2db6b 425bdbbb 1c7d96c6 47b7bfa7 ded58ee1 e5051e67 4c7d449b 7b27f9e2 "
+    "dd2cccbb"
 ).split()
 
 
@@ -341,6 +353,32 @@ class TestSolveExact:
         assert res.proven
         assert res.opt_length == naive_opt(inst) == opt
 
+    @pytest.mark.parametrize("charts, denominator, opt, nodes", [
+        # A (d = 0): (5, 2) then (3, 4) one cell later load that cell to
+        # 2 + 3 = 5 = D - min a, where the other (3, 4) still starts; with
+        # (5, 3) the load is 6, one unit above, and no a bar fits
+        ([(3, 4), (3, 4), (5, 2)], 8, 3, 4),
+        ([(3, 4), (3, 4), (5, 3)], 8, 4, 4),
+        # A: (7, 5) alone loads its cell to D - min a = 9 - 2
+        ([(2, 2), (2, 4), (7, 5), (8, 2)], 9, 4, 4),
+        ([(2, 2), (2, 4), (8, 5), (8, 2)], 9, 5, 12),
+        # B (d = 1): (5, 5) loads the next cell to D - min a = 8 - 3, where
+        # (3, 6) still starts; at 6 that cell still takes a b bar (min b 2),
+        # but no a bar
+        ([(3, 6), (5, 5), (7, 2)], 8, 4, 3),
+        ([(3, 6), (5, 6), (7, 2)], 8, 5, 4),
+        # B: D - min a = 9 - 4, and a b bar fits up to 7
+        ([(4, 5), (7, 5), (8, 2)], 9, 4, 3),
+        ([(4, 5), (7, 6), (8, 2)], 9, 5, 4),
+    ])
+    def test_open_load_at_the_lightest_a_bar_boundary(self, charts, denominator, opt,
+                                                       nodes):
+        inst = Instance(tuple(BarChart(i, a, b) for i, (a, b) in enumerate(charts)),
+                        denominator)
+        res = solve_exact(inst)
+        assert (res.opt_length, res.proven, res.nodes_explored) == (opt, True, nodes)
+        assert res.opt_length == naive_opt(inst)
+
     def test_leaves_no_reference_cycles(self):
         # the search's generators and its memo must be freed on return, not
         # whenever the cyclic collector next runs
@@ -379,7 +417,7 @@ class TestSolveExact:
             assert digest == next(expected, None), \
                 f"first changed result: {label}: {text}"
             count += 1
-        assert count == len(SEARCH_DIGESTS) == 401
+        assert count == len(SEARCH_DIGESTS) == 441
 
     @pytest.mark.parametrize("budget", [-1, True, False, 2.5, "5", None])
     def test_budget_must_be_a_plain_int(self, budget, monkeypatch):
