@@ -12,6 +12,7 @@ prunes on is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import JmaxTooSmall, NotBigInstance
 from .model import Instance, Packing, checked_occupancy, compact
@@ -66,11 +67,16 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
     1/2 needs a cell of its own), or when mass left + both open loads >
     (room + 1) * D (the mass left needs room). room <= 0 at a gap d ends
     the node, since wider gaps cost more; room is read again after each
-    child, because the incumbent can drop there.
+    child, because the incumbent can drop there. A pass is skipped whole
+    when that fails every row's test, so the same states are visited:
+    d = 0 when A > D - min a, d = 1 when B > D - min a (no a bar fits),
+    d = 2 when tall bars left - max over rows of (tall bars + open cells
+    at most 1/2) >= room.
 
     Type table. One row per type, built once, holds a, b, a + b, its tall
     bars, its multiset digit and its d = 2 child's closed loads: that
     child reads its whole state from the row, and a d = 1 child its B.
+    A pass walks only the rows with charts left.
 
     Dominance. A state is the multiset of placed charts (charts with equal
     heights are one type, so their order does not matter), the cost so
@@ -114,6 +120,7 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
         rows.append((t, a, b, (a > half) + (b > half), a + b, a2, b2,
                      (a2 <= half) + (b2 <= half), full + 1))
         full += left[t] * (full + 1)
+    tall2 = max(row[3] + row[7] for row in rows)  # see Bound
     memo = {}
     memo_size = 0
     moves = []
@@ -132,9 +139,12 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
             room = best_len - new_cost
             if room <= 0:
                 return
-            for t, a, b, tall_t, ab, a2, b2, small2, r in rows:
-                if not left[t]:
+            if d == 2:
+                if tall_left - tall2 >= room:
                     continue
+            elif (load_b if d else load_a) > close_a:
+                continue
+            for t, a, b, tall_t, ab, a2, b2, small2, r in compress(rows, left):
                 if d == 2:
                     new_a, new_b, small = a2, b2, small2
                 else:
