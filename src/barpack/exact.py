@@ -4,9 +4,9 @@ a Boolean-program exporter, and disassembly of packings into matchings.
 The solver is a branch-and-bound that places charts left to right in
 start order, seeded with the weighted-matching heuristic, and cuts states
 that an explored state dominates. It is meant for desk-scale verification:
-on a 2-core x86-64 VM it proves random big-nonincreasing instances at
-n = 12 in a median of 0.04 s and at n = 14 in 0.2 s, and everything it
-prunes on is exact integer arithmetic.
+on a 2-core x86-64 VM (Python 3.11) it proves big-nonincreasing seeds 0-9
+at n = 12 in a median of 0.03 s and at n = 14 in 0.19 s, and everything
+it prunes on is exact integer arithmetic.
 """
 
 from __future__ import annotations
