@@ -68,10 +68,10 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
     (room + 1) * D (the mass left needs room). room <= 0 at a gap d ends
     the node, since wider gaps cost more; room is read again after each
     child, because the incumbent can drop there. A pass is skipped whole
-    when that fails every row's test, so the same states are visited:
-    d = 0 when A > D - min a, d = 1 when B > D - min a (no a bar fits),
-    d = 2 when tall bars left - max over rows of (tall bars + open cells
-    at most 1/2) >= room.
+    when one test shows that every row in it would fail, so the same
+    states are visited: d = 0 when A > D - min a, d = 1 when B > D - min a
+    (no a bar fits), d = 2 when tall bars left - max over rows of (tall
+    bars + open cells at most 1/2) >= room.
 
     Type table. One row per type, built once, holds a, b, a + b, its tall
     bars, its multiset digit and its d = 2 child's closed loads: that
