@@ -40,10 +40,6 @@ class Matching:
         return len(self.edge_indices)
 
 
-def validate_graph(g: Graph) -> None:
-    _index(g)
-
-
 def _index(g: Graph):
     """Check every edge and index it in the same pass: adj[v] maps v's neighbours
     to edge weights in edge input order, since dicts keep insertion order, and
@@ -104,7 +100,7 @@ def brute_force_matching(g: Graph, objective: str = "weight") -> Matching:
     Only meant as a test oracle; refuses graphs with more than 24 edges.
     objective is "weight" or "cardinality".
     """
-    validate_graph(g)
+    _index(g)
     if objective not in ("weight", "cardinality"):
         raise ValueError(f"unknown objective {objective!r}")
     if len(g.edges) > 24:
@@ -127,7 +123,7 @@ def brute_force_matching(g: Graph, objective: str = "weight") -> Matching:
             best_value = v
             best = list(chosen)
         for i in range(next_edge, len(g.edges)):
-            u, w, _ = g.edges[i][0], g.edges[i][1], g.edges[i][2]
+            u, w, _ = g.edges[i]
             if used[u] or used[w]:
                 continue
             used[u] = used[w] = True
@@ -145,14 +141,17 @@ class _Blossom:
 
     __slots__ = ("childs", "edges")
 
-    def leaves(self):
-        stack = [*self.childs]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, _Blossom):
-                stack.extend(t.childs)
-            else:
-                yield t
+
+def _leaves(x):
+    """x's vertices, children last to first and depth first; [x] for a vertex."""
+    leaves, stack = [], [x]
+    while stack:
+        t = stack.pop()
+        if type(t) is _Blossom:
+            stack.extend(t.childs)
+        else:
+            leaves.append(t)
+    return leaves
 
 
 def _walk_start(b, child):
@@ -292,10 +291,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
             v = blossombase[b]
             w, t = mate[v], 1
         # S-blossom: its vertices join the scan queue
-        if isinstance(b, _Blossom):
-            queue.extend(b.leaves())
-        else:
-            queue.append(b)
+        queue.extend(_leaves(b))
 
     def scan_blossom(v, w):
         # trace back from v and w; returns the base of a new blossom, or
@@ -358,7 +354,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
         label[b] = 1
         labeledge[b] = labeledge[bb]
         blossomdual[b] = 0
-        for v in b.leaves():
+        for v in _leaves(b):
             if label[inblossom[v]] == 2:
                 # former T-vertex becomes S through the new blossom
                 queue.append(v)
@@ -370,14 +366,11 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
         for x in expanded:
             for s in x.childs:
                 blossomparent[s] = None
-                if isinstance(s, _Blossom):
-                    if endstage and blossomdual[s] == 0:
-                        expanded.append(s)
-                    else:
-                        for v in s.leaves():
-                            inblossom[v] = s
+                if endstage and blossomdual.get(s) == 0:
+                    expanded.append(s)
                 else:
-                    inblossom[s] = s
+                    for v in _leaves(s):
+                        inblossom[v] = s
         # a T-blossom expanded mid-stage must relabel its children
         if (not endstage) and label.get(b) == 2:
             entrychild = inblossom[labeledge[b][1]]
@@ -403,12 +396,9 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 if label.get(bv) == 1:
                     j += jstep
                     continue
-                if isinstance(bv, _Blossom):
-                    for v in bv.leaves():
-                        if label.get(v):
-                            break
-                else:
-                    v = bv
+                for v in _leaves(bv):
+                    if label.get(v):
+                        break
                 if label.get(v):
                     assert label[v] == 2
                     assert inblossom[v] == bv
@@ -421,32 +411,32 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
             labeledge.pop(x, None)
             del blossomparent[x], blossombase[x], blossomdual[x]
 
-    def augment_blossom(b, v):
-        # swap matched/unmatched edges along the path from v to b's base, then inside
-        # each child on it from its entry vertex (children hold disjoint vertices)
-        work = [(b, v)]
+    def augment_blossom(outer, v):
+        # make v the base of outer: in each blossom from v's own up to outer, swap
+        # matched/unmatched edges along the path from the child holding v to the
+        # base, then do the same inside each child on that path from its entry
+        # vertex (children hold disjoint vertices; a vertex has nothing to do)
+        work = [(outer, v)]
         while work:
-            b, v = work.pop()
-            if not isinstance(b, _Blossom):
-                continue
+            outer, v = work.pop()
             t = v
-            while blossomparent[t] != b:
-                t = blossomparent[t]
-            work.append((t, v))
-            i, jstep = _walk_start(b, t)
-            j = i
-            while j != 0:
-                j += jstep
-                w, x = _walk_edge(b, j, jstep)
-                work.append((b.childs[j], w))
-                j += jstep
-                work.append((b.childs[j], x))
-                mate[w], mate[x] = x, w
-            # rotate children so the new base comes first (a negative i, from
-            # a forward walk, slices the same rotation)
-            b.childs = b.childs[i:] + b.childs[:i]
-            b.edges = b.edges[i:] + b.edges[:i]
-            blossombase[b] = v
+            while t != outer:
+                b = blossomparent[t]
+                i, jstep = _walk_start(b, t)
+                j = i
+                while j != 0:
+                    j += jstep
+                    w, x = _walk_edge(b, j, jstep)
+                    work.append((b.childs[j], w))
+                    j += jstep
+                    work.append((b.childs[j], x))
+                    mate[w], mate[x] = x, w
+                # rotate children so the new base comes first (a negative i, from
+                # a forward walk, slices the same rotation)
+                b.childs = b.childs[i:] + b.childs[:i]
+                b.edges = b.edges[i:] + b.edges[:i]
+                blossombase[b] = v
+                t = b
 
     def augment_matching(v, w):
         for s, j in ((v, w), (w, v)):
@@ -455,8 +445,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 assert label[bs] == 1
                 assert (labeledge[bs] is None and blossombase[bs] not in mate) or (
                     labeledge[bs][0] == mate[blossombase[bs]])
-                if isinstance(bs, _Blossom):
-                    augment_blossom(bs, s)
+                augment_blossom(bs, s)
                 mate[s] = j
                 if labeledge[bs] is None:
                     break
@@ -465,8 +454,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 assert label[bt] == 2
                 s, j = labeledge[bt]
                 assert blossombase[bt] == t
-                if isinstance(bt, _Blossom):
-                    augment_blossom(bt, j)
+                augment_blossom(bt, j)
                 mate[j] = s
 
     while 1:
@@ -490,7 +478,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
             roots = [inblossom[v] for v in free]
             label.update(dict.fromkeys(roots, 1))
             labeledge.update(dict.fromkeys(roots))
-            queue = [x for b in roots for x in (b.leaves() if isinstance(b, _Blossom) else (b,))]
+            queue = [x for b in roots for x in _leaves(b)]
 
         augmented = 0
         while 1:
@@ -539,7 +527,7 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                 # delta3: half the least S-S slack (duals are doubled, so it is even)
                 for b in blossomparent:
                     if blossomparent[b] is None and label.get(b) == 1:
-                        for v in b.leaves() if isinstance(b, _Blossom) else (b,):
+                        for v in _leaves(b):
                             for w, wt in adj[v].items():
                                 bw = inblossom[w]
                                 if bw != b and label.get(bw) == 1:

@@ -545,6 +545,11 @@ class TestExportBlp:
         assert " cap_1: 1 x_1_1 - 3 y_1 <= 0" in text
         assert " cap_2: 2 x_1_1 - 3 y_2 <= 0" in text
 
+    def test_unit_denominator_uses_integer_coefficients(self):
+        text = export_blp(Instance((BarChart(0, 1, 1),), 1), 2)
+        assert " cap_1: 1 x_1_1 - 1 y_1 <= 0" in text
+        assert " cap_2: 1 x_1_1 - 1 y_2 <= 0" in text
+
     def test_exact_decimals_for_default_denominator(self):
         inst = validate_instance([(0.123456, 0.3)], 1_000_000)
         text = export_blp(inst, 2)

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from barpack import packers, report
 from barpack.cli import _worker_count, main
-from barpack.errors import BarpackError, InfeasiblePacking, InvariantViolation, MalformedJson
+from barpack.errors import (
+    BarpackError,
+    HeightOutOfRange,
+    InfeasiblePacking,
+    InvariantViolation,
+    MalformedJson,
+)
 from barpack.generators import gen_big, gen_big_nonincreasing, gen_general, gen_tight_family
 from barpack.model import (
     Packing,
@@ -49,6 +55,11 @@ class TestJsonRoundTrips:
         # validate_instance's rule and message, raised as MalformedJson
         with pytest.raises(MalformedJson, match="^denominator must be a positive integer$"):
             instance_from_json(f'{{"version":1,"denominator":{denominator},"charts":[[1,1]]}}')
+
+    @pytest.mark.parametrize("numer", [0, 11])
+    def test_instance_rejects_a_numerator_out_of_range(self, numer):
+        with pytest.raises(HeightOutOfRange, match=rf"numerator {numer} outside \[1, 10\]"):
+            instance_from_json(f'{{"version":1,"denominator":10,"charts":[[1,1],[5,{numer}]]}}')
 
     def test_result_json_reload_and_recheck(self):
         inst = gen_tight_family(1, 100)
@@ -338,6 +349,15 @@ class TestCli:
                      "--algos", "mw", "--force-first", "0-x"]) == 2
         assert ran == [] and capsys.readouterr().out == ""
 
+    def test_compare_rejects_an_unknown_algo_up_front(self, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr("barpack.cli._compare_worker", ran.append)
+        monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        assert main(["compare", "--family", "big", "--n", "4", "--algos", "m,xyz"]) == 2
+        outerr = capsys.readouterr()
+        assert ran == [] and outerr.out == ""
+        assert "unknown algo 'xyz'" in outerr.err
+
     @pytest.mark.parametrize("command", [["solve", "{inst}", "--algo", "exact"],
                                          ["compare", "{inst}", "--oracle"]],
                              ids=["solve", "compare"])
@@ -386,6 +406,8 @@ MALFORMED_INSTANCES = [
     '{"version":1,"denominator":100,"charts":{"0":[1,1]}}',
     '{"version":1,"denominator":100,"charts":[[1,2,3]]}',
     '{"version":1,"denominator":100,"charts":[[1.5,2]]}',
+    '{"version":1,"denominator":100,"charts":[[0,50]]}',
+    '{"version":1,"denominator":100,"charts":[[50,101]]}',
     '[' * 100_000,
 ]
 

@@ -2,6 +2,7 @@
 
 import dis
 import gc
+import linecache
 import os
 import random
 import subprocess
@@ -13,9 +14,10 @@ import pytest
 import barpack
 from barpack import matching
 from barpack.errors import InvariantViolation, TooLarge
-from barpack.generators import gen_general
+from barpack.generators import gen_big_nonincreasing, gen_general
 from barpack.matching import (
     Graph,
+    Matching,
     _Blossom,
     _verify_optimum,
     brute_force_matching,
@@ -24,8 +26,8 @@ from barpack.matching import (
     matching_weight,
     max_cardinality_matching,
     max_weight_matching,
-    validate_graph,
 )
+from barpack.packers import pack_matching
 from barpack.unions import build_graph, chart_from_bars
 
 
@@ -86,6 +88,31 @@ class TestMaxCardinality:
         m, calls = self.count_labels(g)
         assert m.cardinality() == 250 and calls <= 1000
 
+    def test_augment_walk_climbs_once_per_rotated_blossom(self):
+        # augment_blossom reaches each blossom it rotates by one blossomparent
+        # step from the child below it; re-walking from the entry vertex for
+        # every nested blossom costs steps quadratic in the nesting depth
+        code = next(c for c in matching._blossom_matching.__code__.co_consts
+                    if getattr(c, "co_name", None) == "augment_blossom")
+        runs = {}
+
+        def trace(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            if event == "line":
+                runs[frame.f_lineno] = runs.get(frame.f_lineno, 0) + 1
+            return trace
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            pack_matching(gen_big_nonincreasing(300, 1))
+        finally:
+            sys.settrace(previous)
+        text = {line: linecache.getline(code.co_filename, line) for line in runs}
+        steps = sum(k for line, k in runs.items() if "blossomparent[" in text[line])
+        rotations = sum(k for line, k in runs.items() if ".childs = " in text[line])
+        assert 0 < steps <= rotations
+
 
 def record_final_state(monkeypatch):
     """Record the blossoms each solve ends with, as _verify_optimum sees them."""
@@ -137,7 +164,16 @@ class TestMaxWeight:
         assert set(matching_pairs(g, max_weight_matching(g))) == {(0, 2)}
         b = seen["blossomparent"][0]
         assert seen["blossomparent"][2] is b and seen["blossomdual"][b] > 0
-        assert set(b.leaves()) == {0, 1, 2}
+        assert set(matching._leaves(b)) == {0, 1, 2}
+
+    def test_leaves_walk_children_last_to_first_depth_first(self):
+        # the order fixes the scan queue, and with it which maximum matching wins
+        inner, outer = _Blossom(), _Blossom()
+        inner.childs = [3, 4, 5]
+        outer.childs = [0, inner, 2]
+        assert matching._leaves(outer) == [2, 5, 4, 3, 0]
+        assert matching._leaves(inner) == [5, 4, 3]
+        assert matching._leaves(7) == [7]
 
     def test_tight_lists_are_built_once_per_dual_step(self, monkeypatch):
         built = record_tight_lists(monkeypatch)
@@ -383,6 +419,12 @@ class TestBruteForce:
         g = graph(5, (0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 0, 1))
         assert brute_force_matching(g, "cardinality").cardinality() == 2
 
+    @pytest.mark.parametrize("second", [(1, 2, 1), (2, 0, 1)], ids=["u", "v"])
+    def test_edges_sharing_a_vertex_are_no_matching(self, second):
+        # edge 0-1 comes first; the second edge shares vertex 1 or vertex 0
+        g = graph(3, (0, 1, 1), second)
+        assert not is_valid_matching(g, Matching(frozenset({0, 1})))
+
     def test_guard(self):
         edges = tuple((0, i, 1) for i in range(1, 26))
         with pytest.raises(TooLarge):
@@ -486,9 +528,12 @@ class TestClassicGraphs:
 
     def test_every_solver_line_runs(self):
         # the classic graphs plus the empty graph reach every line of the
-        # solver and its closures, the rare delta-4 and blossom-walk ones too,
-        # and the stage start's branch for a free vertex inside a blossom
-        codes, stack = set(), [matching._blossom_matching.__code__]
+        # solver, its closures and the module-level helpers it calls, the rare
+        # delta-4 and blossom-walk ones too, and the stage start's branch for a
+        # free vertex inside a blossom
+        codes, stack = set(), [f.__code__ for f in (
+            matching._blossom_matching, matching._leaves, matching._walk_start,
+            matching._walk_edge, matching._tight_lists)]
         while stack:
             code = stack.pop()
             codes.add(code)
@@ -528,8 +573,8 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             max_weight_matching(graph(2, (0, 1, -1)))
 
-    @pytest.mark.parametrize("solve", [validate_graph, max_weight_matching,
-                                       max_cardinality_matching, brute_force_matching])
+    @pytest.mark.parametrize("solve", [max_weight_matching, max_cardinality_matching,
+                                       brute_force_matching])
     @pytest.mark.parametrize("n, edges, message", [
         (3, ((0, 1, 1), (2, 2, 1)), "self-loop at vertex 2"),
         (3, ((0, 1, 1), (1, 3, 1)), r"edge \(1, 3\) out of vertex range"),

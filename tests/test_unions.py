@@ -119,6 +119,10 @@ def _brute_force_edges(inst):
 
 
 class TestBuildGraph:
+    def test_zero_charts_rejected(self):
+        with pytest.raises(ValueError, match="zero charts"):
+            build_graph([], 100)
+
     def test_no_feasible_union(self):
         charts = [two_bar(0, 0.8, 0.7), two_bar(1, 0.6, 0.9)]
         assert build_graph(charts, 100).edges == ()
