@@ -337,6 +337,18 @@ class TestSolveExact:
             assert res.proven
             assert res.opt_length == dfs_reference(inst).opt_length, inst
 
+    @pytest.mark.parametrize("cap, digest", [(2, "02199631"), (50, "05b3776c")])
+    def test_memo_cap_is_pinned(self, cap, digest, monkeypatch):
+        # a cap the search reaches: nodes 1..cap store an entry, later ones
+        # do not; storing one entry more or fewer changes the node counts
+        monkeypatch.setattr(exact, "MEMO_CAP", cap)
+        results = []
+        for seed in range(4):
+            for inst in (gen_big_nonincreasing(10, seed), gen_general(9, seed)):
+                res = solve_exact(inst)
+                results.append((res.opt_length, res.nodes_explored, res.proven))
+        assert hashlib.sha256(repr(results).encode()).hexdigest()[:8] == digest, results
+
     @pytest.mark.parametrize("charts, denominator, opt", [
         ([(1, 2), (1, 2), (2, 2)], 4, 3),
         ([(3, 2), (1, 2), (1, 2)], 4, 3),
