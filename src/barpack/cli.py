@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import BarpackError
 from .exact import DEFAULT_NODE_BUDGET, export_blp, lower_bound, solve_exact
-from .generators import GenSpec, generate, tight_family_forced_pairs
+from .generators import FAMILIES, GenSpec, generate, tight_family_forced_pairs
 from .model import (
     Instance,
     instance_from_json,
@@ -33,15 +33,8 @@ from .packers import (
     pack_weighted_matching,
 )
 from .render import render_svg
-from .report import (
-    CSV_HEADER,
-    ReportRow,
-    max_ratio_by_algo,
-    row_for_run,
-    rows_to_csv,
-)
+from .report import ReportRow, max_ratio_by_algo, row_for_run, rows_to_csv
 
-FAMILIES = ("big-nonincreasing", "big", "general", "tight")
 # the packers solve and compare run by name; solve also offers "exact"
 PACKERS = {"m": pack_matching, "mw": pack_weighted_matching, "ff": pack_first_fit}
 
@@ -262,7 +255,7 @@ def _cmd_compare(args) -> int:
         with out.open("a") as fh:
             fh.write(csv_text)
     else:
-        sys.stdout.write(CSV_HEADER + "\n" + rows_to_csv(rows, include_header=False))
+        sys.stdout.write(rows_to_csv(rows))
 
     for algo, worst in sorted(max_ratio_by_algo(rows).items()):
         print(f"algo={algo} max_ratio={worst:.3f}")
@@ -294,7 +287,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BarpackError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    # ValueError covers json.JSONDecodeError
+    except (BarpackError, ValueError, KeyError, OSError) as exc:
         print(f"barpack: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -122,14 +122,13 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
         full += left[t] * (full + 1)
     tall2 = max(row[3] + row[7] for row in rows)  # see Bound
     memo = {}
-    memo_size = 0
     moves = []
     best_moves = None
     nodes = 0
 
     def expand(key, cost, load_a, load_b, tall_left, mass_left):
         # yields each child's state, which the loop below expands before resuming it
-        nonlocal best_len, best_moves, nodes, memo_size
+        nonlocal best_len, best_moves, nodes
         if key == full:
             best_len = cost
             best_moves = tuple(moves)
@@ -176,8 +175,7 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
                 nodes += 1
                 if nodes > budget:
                     return
-                if memo_size < MEMO_CAP:
-                    memo_size += 1
+                if nodes <= MEMO_CAP:  # one entry per node up to the cap
                     if seen is None:
                         memo[new_key] = [new_cost, new_a, new_b]
                     else:

@@ -17,8 +17,8 @@ from .model import DEFAULT_DENOMINATOR, BarChart, Instance, check_denominator
 class GenSpec:
     """A reproducible recipe for one instance.
 
-    family is one of "big-nonincreasing", "big", "general", "tight";
-    size means n for the random families and k for the tight family.
+    family is a key of FAMILIES; size means n for the random families
+    and k for the tight family.
     """
 
     family: str
@@ -28,28 +28,23 @@ class GenSpec:
 
 
 def generate(spec: GenSpec) -> Instance:
-    if spec.family == "big-nonincreasing":
-        return gen_big_nonincreasing(spec.size, spec.seed, spec.denominator)
-    if spec.family == "big":
-        return gen_big(spec.size, spec.seed, spec.denominator)
-    if spec.family == "general":
-        return gen_general(spec.size, spec.seed, spec.denominator)
-    if spec.family == "tight":
-        return gen_tight_family(spec.size, spec.denominator)
-    raise ValueError(f"unknown family {spec.family!r}")
+    if spec.family not in FAMILIES:
+        raise ValueError(f"unknown family {spec.family!r}")
+    return FAMILIES[spec.family](spec.size, spec.seed, spec.denominator)
 
 
-def _check_n(n: int) -> None:
+def _seeded(n: int, seed: int, denominator: int) -> random.Random:
+    """The random source of a random family, after checking n and D."""
     if n < 1:
         raise ValueError("need at least one chart")
+    check_denominator(denominator)
+    return random.Random(seed)
 
 
 def gen_big_nonincreasing(n: int, seed: int = 0,
                           denominator: int = DEFAULT_DENOMINATOR) -> Instance:
     """Charts with a drawn uniformly from (1/2, 1] and b from (0, a]."""
-    _check_n(n)
-    check_denominator(denominator)
-    rng = random.Random(seed)
+    rng = _seeded(n, seed, denominator)
     half = denominator // 2
     charts = []
     for i in range(n):
@@ -63,9 +58,7 @@ def gen_big(n: int, seed: int = 0,
             denominator: int = DEFAULT_DENOMINATOR) -> Instance:
     """Charts with one designated bar above 1/2; which side is big is a
     coin flip, the other bar is uniform over (0, 1]."""
-    _check_n(n)
-    check_denominator(denominator)
-    rng = random.Random(seed)
+    rng = _seeded(n, seed, denominator)
     half = denominator // 2
     charts = []
     for i in range(n):
@@ -80,9 +73,7 @@ def gen_big(n: int, seed: int = 0,
 def gen_general(n: int, seed: int = 0,
                 denominator: int = DEFAULT_DENOMINATOR) -> Instance:
     """Both bars uniform over (0, 1] on the grid."""
-    _check_n(n)
-    check_denominator(denominator)
-    rng = random.Random(seed)
+    rng = _seeded(n, seed, denominator)
     charts = []
     for i in range(n):
         a = rng.randint(1, denominator)
@@ -115,6 +106,16 @@ def gen_tight_family(k: int, denominator: int = DEFAULT_DENOMINATOR) -> Instance
     for i in range(2 * k, 4 * k):
         charts.append(BarChart(i, *red))
     return Instance(tuple(charts), denominator)
+
+
+# every family by name, as (size, seed, denominator) -> Instance; the CLI
+# offers these names in this order
+FAMILIES = {
+    "big-nonincreasing": gen_big_nonincreasing,
+    "big": gen_big,
+    "general": gen_general,
+    "tight": lambda k, seed, denominator: gen_tight_family(k, denominator),
+}
 
 
 def tight_family_forced_pairs(inst: Instance) -> list[tuple[int, int]]:

@@ -406,9 +406,8 @@ def _blossom_matching(g: Graph, unit: bool) -> Matching:
                     label[mate[blossombase[bv]]] = None
                     assign_label(v, 2, labeledge[v][0])
                 j += jstep
+        # their label entries stay: nothing reaches a deleted blossom again
         for x in expanded:
-            label.pop(x, None)
-            labeledge.pop(x, None)
             del blossomparent[x], blossombase[x], blossomdual[x]
 
     def augment_blossom(outer, v):

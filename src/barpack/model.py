@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import (
@@ -35,8 +37,9 @@ def height_numerator(value, denominator: int) -> int:
     numerator over ``denominator``.
 
     Raises NonRepresentable when the value is not an integer multiple of
-    1/denominator (bools, NaN, infinities and non-numbers included), and
-    HeightOutOfRange when it falls outside (0, 1].
+    1/denominator (bools, NaN, infinities, "1/0", "1e-999999999" and
+    non-numbers included), and HeightOutOfRange when it falls outside
+    (0, 1] ("0e-999999999" and "1e999999999" included).
     """
     if isinstance(value, bool):
         raise NonRepresentable(f"{value!r} is a bool, not a height")
@@ -47,9 +50,16 @@ def height_numerator(value, denominator: int) -> int:
         if numer is None or abs(scaled - numer) > _FLOAT_SNAP_TOL * max(1.0, abs(scaled)):
             raise NonRepresentable(f"{value!r} is not a multiple of 1/{denominator}")
     else:
+        text = str(value) if isinstance(value, (str, Decimal)) else ""
+        form = re.fullmatch(r"(.*)[eE]([-+]?[\d_]+)\s*", text, re.S)
         try:
-            exact = Fraction(value) * denominator
-        except (TypeError, ValueError, OverflowError):  # None, "nan", Decimal("inf")
+            number = value
+            # Fraction would build 10 ** e; past len(text) + D's bits, e alone
+            # decides: above 1 or zero (stand-in 0), else off the grid (1/2D)
+            if form and abs(e := int(form[2])) > len(text) + denominator.bit_length():
+                number = Fraction(1, 2 * denominator) if Fraction(form[1] + "e0") and e < 0 else 0
+            exact = Fraction(number) * denominator
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):  # None, "nan", "1/0"
             raise NonRepresentable(f"{value!r} is not a number") from None
         if exact.denominator != 1:
             raise NonRepresentable(f"{value!r} is not a multiple of 1/{denominator}")
@@ -202,11 +212,6 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _json_object(text: str, what: str) -> dict:
     try:
         payload = json.loads(text)
@@ -221,7 +226,7 @@ def _json_object(text: str, what: str) -> dict:
 def instance_from_json(text: str) -> Instance:
     payload = _json_object(text, "instance")
     version = payload.get("version")
-    if not _is_int(version) or version != 1:
+    if type(version) is not int or version != 1:
         raise MalformedJson(f"unsupported instance version {version!r}")
     denominator = payload.get("denominator")
     try:
@@ -239,7 +244,7 @@ def instance_from_json(text: str) -> Instance:
             raise MalformedJson(f"chart {i} is {pair!r}, not an [a, b] pair")
         a, b = pair
         for numer in (a, b):
-            if not _is_int(numer):
+            if type(numer) is not int:
                 raise NonRepresentable(f"chart {i} height {numer!r} is not an integer numerator")
             if not 1 <= numer <= denominator:
                 raise HeightOutOfRange(f"chart {i} numerator {numer} outside [1, {denominator}]")
@@ -255,6 +260,6 @@ def packing_from_json(text: str) -> Packing:
     starts = _json_object(text, "packing").get("starts")
     if not isinstance(starts, list):
         raise MalformedJson("packing needs a list of start cells")
-    if not all(_is_int(s) and s >= 1 for s in starts):
+    if not all(type(s) is int and s >= 1 for s in starts):
         raise UnassignedChart("starts must all be integers >= 1")
     return Packing(tuple(starts))

@@ -53,7 +53,11 @@ SWEEP_SIZE = 200
 class SweepCase:
     inst: object
     run: object
-    opt: int
+    oracle: object  # the proven ExactResult
+
+    @property
+    def opt(self):
+        return self.oracle.opt_length
 
 
 @dataclass
@@ -68,11 +72,11 @@ def noninc_sweep():
     t0 = time.monotonic()
     cases = []
     for seed in range(SWEEP_SIZE):
-        inst = gen_big_nonincreasing(10, seed)
+        inst = gen_big_nonincreasing(12, seed)
         run = pack_matching(inst)
         res = solve_exact(inst)
         assert res.proven
-        cases.append(SweepCase(inst, run, res.opt_length))
+        cases.append(SweepCase(inst, run, res))
     return Sweep(cases, time.monotonic() - t0)
 
 
@@ -82,11 +86,11 @@ def big_sweep():
     t0 = time.monotonic()
     cases = []
     for seed in range(SWEEP_SIZE):
-        inst = gen_big(10, seed)
+        inst = gen_big(12, seed)
         run = pack_weighted_matching(inst)
         res = solve_exact(inst)
         assert res.proven
-        cases.append(SweepCase(inst, run, res.opt_length))
+        cases.append(SweepCase(inst, run, res))
     return Sweep(cases, time.monotonic() - t0)
 
 
@@ -219,9 +223,7 @@ def test_criterion_07_no_late_two_unions(noninc_sweep, big_sweep):
 def test_criterion_08_disassembly_inequality(noninc_sweep):
     checked = 0
     for case in noninc_sweep.cases[:60]:
-        res = solve_exact(case.inst)
-        assert res.proven
-        rounds = disassemble(case.inst, res.packing)
+        rounds = disassemble(case.inst, case.oracle.packing)
         m1_star = rounds[0].cardinality if rounds else 0
         rest = sum(r.cardinality for r in rounds[1:])
         run_rounds = case.run.trace.rounds

@@ -1,6 +1,7 @@
 """Core model: exact heights, occupancy, feasibility, length, compaction."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -87,12 +88,47 @@ class TestHeightNumerator:
 
     @pytest.mark.parametrize("value", [
         True, False, float("nan"), float("inf"), float("-inf"), 1e308, None, "abc",
-        "nan", "inf", [0.5]], ids=repr)
+        "nan", "inf", [0.5], "1/0"], ids=repr)
     def test_unreadable_heights_are_not_representable(self, value):
         with pytest.raises(NonRepresentable):
             height_numerator(value, 10)
         with pytest.raises(NonRepresentable):
             validate_instance([(0.5, value)], 10)
+
+    @pytest.mark.parametrize("value, error", [
+        ("1e10000000", HeightOutOfRange), ("1e999999999", HeightOutOfRange),
+        ("-1e999999999", HeightOutOfRange), ("1e99999999999999999999", HeightOutOfRange),
+        ("0e-999999999", HeightOutOfRange), (Decimal("1e999999999"), HeightOutOfRange),
+        ("1e-999999999", NonRepresentable), (Decimal("-1e-999999999"), NonRepresentable),
+        ("1/3e999999999", NonRepresentable), ("1e 999999999", NonRepresentable),
+    ], ids=repr)
+    def test_a_huge_exponent_is_refused_without_building_its_power(self, value, error):
+        # Fraction alone builds 10 ** e first: 13 s for e = 10 ** 7, and
+        # e = 999999999 does not finish; the class is the one a small e gives
+        with pytest.raises(error):
+            height_numerator(value, 10)
+
+    def test_exponent_strings_read_as_fraction_reads_them(self):
+        def reference(value, denominator):
+            exact = Fraction(value) * denominator
+            if exact.denominator != 1:
+                return NonRepresentable
+            return exact.numerator if 1 <= exact.numerator <= denominator \
+                else HeightOutOfRange
+
+        mantissas = ["1", "0", "-1", "7", "25", "0.5", "12.5", "0.000125",
+                     "123456789", "-0.75", "0.0", ".5", "3_0"]
+        for denominator in (1, 3, 8, 10, 1000, 10 ** 6):
+            for m in mantissas:
+                for e in range(-40, 41):
+                    for value in (f"{m}e{e}", f"{m}E+{e}" if e >= 0 else f" {m}E{e} ",
+                                  Decimal(f"{m}e{e}")):
+                        expected = reference(value, denominator)
+                        try:
+                            got = height_numerator(value, denominator)
+                        except (NonRepresentable, HeightOutOfRange) as exc:
+                            got = type(exc)
+                        assert got == expected, (value, denominator)
 
 
 class TestOccupancy:

@@ -24,7 +24,7 @@ from barpack.generators import (
     tight_family_forced_pairs,
 )
 from barpack.matching import Graph, _index, max_cardinality_matching, max_weight_matching
-from barpack.model import BarChart, is_feasible, length, occupancy, validate_instance
+from barpack.model import BarChart, compact, is_feasible, length, occupancy, validate_instance
 from barpack.packers import (
     pack_first_fit,
     pack_forced_first_matching,
@@ -369,8 +369,19 @@ class TestCorpus:
         expected = iter(CORPUS_DIGESTS)
         count = 0
         for label, inst in corpus():
+            # every packer returns a compact packing; the matching packers
+            # do not compact, so this is the check that realize leaves no gap
+            others = [pack_first_fit(inst)]
+            if label[0] == "tight":
+                others.append(pack_forced_first_matching(
+                    inst, tight_family_forced_pairs(inst)))
+            for result in others:
+                assert compact(inst, result.packing) == result.packing, label
             for packer in (pack_matching, pack_weighted_matching):
-                text = pack_result_to_json(packer(inst))
+                result = packer(inst)
+                assert compact(inst, result.packing) == result.packing, \
+                    f"{packer.__name__} on {label} left a gap"
+                text = pack_result_to_json(result)
                 digest = hashlib.sha256(text.encode()).hexdigest()[:8]
                 assert digest == next(expected, None), \
                     f"first changed result: {packer.__name__} on {label}: {text}"
