@@ -291,6 +291,24 @@ class TestCli:
         assert "[Errno 2] No such file or directory" in rows[0]
         assert str(missing) in rows[0]
 
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_compare_reads_a_file_as_it_runs_the_generated_instance(
+            self, tmp_path, capsys, monkeypatch, threads):
+        if threads is None:
+            monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("BARPACK_THREADS", threads)
+        path = tmp_path / "f.json"
+        path.write_text(instance_to_json(gen_big(7, 3)))
+        tail = ["--algos", "m,mw,ff", "--oracle"]
+        assert main(["compare", str(path), *tail]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["compare", "--family", "big", "--n", "7", "--seed0", "3",
+                     "--count", "1", *tail]) == 0
+        generated = capsys.readouterr().out
+        assert generated.count("\nbig-7-s3,7,") == 3
+        assert from_file.replace("\nf.json,", "\nbig-7-s3,") == generated
+
     def test_parallel_compare_matches_sequential(self, tmp_path):
         seq = tmp_path / "seq.csv"
         par = tmp_path / "par.csv"

@@ -160,6 +160,18 @@ class TestForcedFirstMatching:
         forced = pack_forced_first_matching(inst, [(0, 1)])
         assert forced.length == pack_weighted_matching(inst).length == 2
 
+    def test_empty_pairing_without_unions_is_the_free_run(self):
+        # full-height charts admit no union, so the optimum weight is 0
+        inst = validate_instance([(1, 1)] * 3, 10)
+        forced = pack_forced_first_matching(inst, [])
+        assert forced == pack_weighted_matching(inst)
+        assert forced.trace.rounds == ()
+
+    def test_empty_pairing_beside_a_union_is_not_max_weight(self):
+        inst = validate_instance([(0.4, 0.6), (0.6, 0.4)], 10)
+        with pytest.raises(NotMaxWeight):
+            pack_forced_first_matching(inst, [])
+
 
 class TestRoundMemory:
     def test_each_round_frees_its_graph_before_the_next_build(self, monkeypatch):
@@ -206,6 +218,13 @@ class TestFirstFit:
         assert swapped.packing.starts == (2, 1)
         with pytest.raises(ValueError):
             pack_first_fit(inst, order=[0, 0])
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_full_height_charts_reach_the_last_start(self, n):
+        # no two charts share a cell, so chart n starts at 2n - 1, the
+        # highest start first fit can reach
+        inst = validate_instance([(1, 1)] * n, 10)
+        assert pack_first_fit(inst).packing.starts == tuple(range(1, 2 * n, 2))
 
 
 class TestRealize:
