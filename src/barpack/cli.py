@@ -171,33 +171,27 @@ def _cmd_solve(args) -> int:
 
 
 def _compare_worker(payload) -> list[ReportRow]:
-    name, inst_json, algos, forced, oracle, budget = payload
+    """Rows for one instance, given as a file path or as an Instance."""
+    name, source, algos, forced, oracle, budget = payload
     try:
-        if isinstance(inst_json, OSError):  # the file could not be read
-            raise inst_json
-        inst = instance_from_json(inst_json)
-    except (BarpackError, ValueError, OSError) as exc:  # ValueError: not JSON at all
-        return [ReportRow(name, 0, "-", None, None, None, None, None,
-                          status=f"error: {exc}")]
+        inst = source if isinstance(source, Instance) else _load_instance(source)
+    except (BarpackError, ValueError, OSError) as exc:  # ValueError: not text or not JSON
+        return [ReportRow(name, 0, "-", status=f"error: {exc}")]
     lb = lower_bound(inst)
     opt = None
-    rows = []
     if oracle:
-        try:
-            res = solve_exact(inst, budget=budget)
-            if res.proven:
-                opt = res.opt_length
-        except BarpackError as exc:
-            rows.append(ReportRow(name, inst.n, "exact", None, None, None,
-                                  None, lb, status=f"error: {exc}"))
+        res = solve_exact(inst, budget=budget)
+        if res.proven:
+            opt = res.opt_length
+    rows = []
     for algo in algos:
         try:
             label, result = _run_packer(algo, inst, forced)
             rows.append(row_for_run(name, inst, label, result, opt, lb,
                                     matching_based=algo != "ff"))
         except BarpackError as exc:
-            rows.append(ReportRow(name, inst.n, algo, None, None, None,
-                                  opt, lb, status=f"error: {exc}"))
+            rows.append(ReportRow(name, inst.n, algo, opt=opt, lb=lb,
+                                  status=f"error: {exc}"))
     return rows
 
 
@@ -222,20 +216,14 @@ def _cmd_compare(args) -> int:
             raise BarpackError(f"unknown algo {a!r} (compare accepts {', '.join(PACKERS)})")
     budget, forced = _run_options(args, algos, args.oracle)
 
-    payloads = []
-    for path in args.instances:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            text = exc  # becomes this file's error row
-        payloads.append((Path(path).name, text, algos, forced, args.oracle, budget))
+    sources = [(Path(path).name, path) for path in args.instances]
     if args.family:
         size = _family_size(args)
-        for seed in range(args.seed0, args.seed0 + args.count):
-            spec = GenSpec(args.family, size, seed, args.denominator)
-            name = f"{args.family}-{size}-s{seed}"
-            payloads.append((name, instance_to_json(generate(spec)), algos,
-                             forced, args.oracle, budget))
+        sources += [(f"{args.family}-{size}-s{seed}",
+                     generate(GenSpec(args.family, size, seed, args.denominator)))
+                    for seed in range(args.seed0, args.seed0 + args.count)]
+    payloads = [(name, source, algos, forced, args.oracle, budget)
+                for name, source in sources]
 
     threads = _worker_count(os.environ.get("BARPACK_THREADS"), len(payloads),
                             os.cpu_count())

@@ -99,22 +99,18 @@ def _round_stats(graph: Graph, chosen, savings, weighted) -> RoundStats:
 def _run_rounds(inst: Instance, weighted: bool, forced_first=None) -> PackResult:
     charts = [chart_from_bars(c) for c in inst.charts]
     rounds = []
-    if forced_first is not None:
-        # checked even when a single chart leaves nothing to merge
+    # a forced pairing is the first pass, checked even over a single chart
+    while len(charts) > 1 or forced_first is not None:
         graph = build_graph(charts, inst.denominator)
-        chosen = _validate_forced(graph, forced_first)
-        if chosen:
-            charts, savings = _merge_round(charts, graph, chosen, inst.denominator)
-            rounds.append(_round_stats(graph, chosen, savings, weighted))
-        del graph
-    while len(charts) > 1:
-        graph = build_graph(charts, inst.denominator)
-        if not graph.edges:
+        if forced_first is not None:
+            chosen, forced_first = _validate_forced(graph, forced_first), None
+        elif not graph.edges:
             break
-        m = max_weight_matching(graph) if weighted else max_cardinality_matching(graph)
-        if not m.edge_indices:
+        else:
+            m = max_weight_matching(graph) if weighted else max_cardinality_matching(graph)
+            chosen = sorted(m.edge_indices)
+        if not chosen:  # an empty pairing is maximum only if no union (t >= 1) exists
             break
-        chosen = sorted(m.edge_indices)
         charts, savings = _merge_round(charts, graph, chosen, inst.denominator)
         rounds.append(_round_stats(graph, chosen, savings, weighted))
         del graph  # its edges and adjacency go before the next build
@@ -131,7 +127,7 @@ def _validate_forced(graph: Graph, pairs):
         edge = by_pair.get(frozenset((i, j)))
         if edge is None:
             raise NotAMatching(f"charts {i} and {j} admit no union")
-        if i in used or j in used or i == j:
+        if i in used or j in used:
             raise NotAMatching(f"chart {i if i in used else j} is paired twice")
         used.update((i, j))
         chosen.append(edge)
@@ -175,14 +171,14 @@ def pack_first_fit(inst: Instance, order=None) -> PackResult:
     if sorted(order) != list(range(inst.n)):
         raise ValueError("order must be a permutation of the instance ids")
     denom = inst.denominator
-    loads = [0, 0]
+    # after j charts no cell past 2j holds a bar, so every start is at most
+    # 2n - 1 and loads[s] stays inside 2n entries
+    loads = [0] * (2 * inst.n)
     starts = [0] * inst.n
     for cid in order:
         chart = inst.charts[cid]
         s = 1
         while True:
-            while len(loads) < s + 1:
-                loads.append(0)
             if loads[s - 1] + chart.a <= denom and loads[s] + chart.b <= denom:
                 loads[s - 1] += chart.a
                 loads[s] += chart.b

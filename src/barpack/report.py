@@ -33,11 +33,11 @@ class ReportRow:
     instance: str
     n: int
     algo: str
-    L: int | None
-    m1: int | None
-    w1: int | None
-    opt: int | None  # only when proven by the exact solver
-    lb: int | None
+    L: int | None = None
+    m1: int | None = None
+    w1: int | None = None
+    opt: int | None = None  # only when proven by the exact solver
+    lb: int | None = None
     status: str = "ok"
 
     def ratio(self) -> float | None:
@@ -66,7 +66,7 @@ def row_for_run(name: str, inst: Instance, algo: str, result: PackResult,
                                  "not its packing's")
     if not matching_based:
         # no matching rounds, so the x = w1/n bounds do not apply
-        return ReportRow(name, inst.n, algo, result.length, None, None, opt, lb)
+        return ReportRow(name, inst.n, algo, result.length, opt=opt, lb=lb)
     rounds = result.trace.rounds
     m1 = rounds[0].cardinality if rounds else 0
     w1 = rounds[0].savings if rounds else 0

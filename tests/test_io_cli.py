@@ -14,6 +14,7 @@ from barpack.cli import _worker_count, main
 from barpack.errors import (
     BarpackError,
     HeightOutOfRange,
+    InfeasibleMerge,
     InfeasiblePacking,
     InvariantViolation,
     MalformedJson,
@@ -308,6 +309,31 @@ class TestCli:
         generated = capsys.readouterr().out
         assert generated.count("\nbig-7-s3,7,") == 3
         assert from_file.replace("\nf.json,", "\nbig-7-s3,") == generated
+
+    def test_compare_file_that_is_not_utf8_is_an_error_row(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"version":1,\xff}')
+        good = tmp_path / "good.json"
+        good.write_text(instance_to_json(gen_general(3, 1)))
+        assert main(["compare", str(bad), str(good), "--algos", "m"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:3]
+        assert rows[0].startswith("bad.json,0,-,") and "can't decode byte 0xff" in rows[0]
+        assert rows[1].startswith("good.json,3,m,") and rows[1].endswith(",ok")
+
+    def test_an_oracle_fault_ends_compare(self, monkeypatch, capsys):
+        # the exact search raises only on a fault in the library's own output,
+        # so compare stops as solve --algo exact does instead of writing a row
+        def faulty(inst, budget):
+            raise InfeasibleMerge("overlap of 1 cells would overload a cell")
+        monkeypatch.setattr("barpack.cli.solve_exact", faulty)
+        monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        assert main(["compare", "--family", "big", "--n", "4", "--algos", "m",
+                     "--oracle"]) == 2
+        outerr = capsys.readouterr()
+        assert outerr.err == "barpack: overlap of 1 cells would overload a cell\n"
+        assert outerr.out == ""
 
     def test_parallel_compare_matches_sequential(self, tmp_path):
         seq = tmp_path / "seq.csv"
