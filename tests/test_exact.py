@@ -415,6 +415,23 @@ class TestSolveExact:
         res = solve_exact(gen(12, seed))
         assert (res.opt_length, res.proven, res.nodes_explored) == (opt, True, nodes)
 
+    def test_mass_tight_seed_is_proven_at_the_root(self):
+        # no chart fits the root's open loads and every d = 2 child fails the
+        # mass cut, so a seed at the mass bound is proven with no node
+        count = 0
+        for gen in (gen_general, gen_big, gen_big_nonincreasing):
+            for n in range(2, 7):
+                for seed in range(50):
+                    inst = gen(n, seed)
+                    heuristic = pack_weighted_matching(inst)
+                    mass_bound = max(-(-inst.total_mass() // inst.denominator), 2)
+                    if heuristic.length != mass_bound:
+                        continue
+                    count += 1
+                    assert solve_exact(inst) == ExactResult(
+                        heuristic.length, heuristic.packing, 0, True), (gen, n, seed)
+        assert count == 164
+
     def test_search_is_pinned(self):
         # every state the search visits shows in nodes_explored, and the
         # witness shows the order; a change to the search that is meant to
