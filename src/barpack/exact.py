@@ -71,7 +71,10 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
     when one test shows that every row in it would fail, so the same
     states are visited: d = 0 when A > D - min a, d = 1 when B > D - min a
     (no a bar fits), d = 2 when tall bars left - max over rows of (tall
-    bars + open cells at most 1/2) >= room.
+    bars + open cells at most 1/2) >= room. So a seed of length
+    max(ceil(mass / D), 2) is proven with no node: at the root no bar
+    fits the open loads D, and a d = 2 child leaves room 0 or, with the
+    whole mass still to hold, fails the mass test.
 
     Type table. One row per type, built once, holds a, b, a + b, its tall
     bars, its multiset digit and its d = 2 child's closed loads: that
@@ -94,12 +97,6 @@ def solve_exact(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> ExactResul
     seed = pack_weighted_matching(inst)
     best_len = seed.length
     best_packing = seed.packing
-    # early exit only on the elementary mass bound, so optimality claims
-    # about big instances are established by search, not assumed
-    area_lb = max(-(-inst.total_mass() // inst.denominator), 2)
-    if best_len == area_lb:
-        return ExactResult(best_len, best_packing, 0, True)
-
     denom = inst.denominator
     # one type per distinct (a, b), heavier first: big bars block cells early
     ids_of = {}
