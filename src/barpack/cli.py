@@ -18,6 +18,7 @@ from .errors import BarpackError
 from .exact import DEFAULT_NODE_BUDGET, export_blp, lower_bound, solve_exact
 from .generators import FAMILIES, GenSpec, generate, tight_family_forced_pairs
 from .model import (
+    DEFAULT_DENOMINATOR,
     Instance,
     instance_from_json,
     instance_to_json,
@@ -56,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, help="chart count for random families")
     p_gen.add_argument("--k", type=int, help="size parameter of the tight family")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--denominator", type=int, default=1_000_000)
+    p_gen.add_argument("--denominator", type=int, default=DEFAULT_DENOMINATOR)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--k", type=int)
     p_cmp.add_argument("--count", type=int, default=1, help="instances in the sweep")
     p_cmp.add_argument("--seed0", type=int, default=0, help="first seed of the sweep")
-    p_cmp.add_argument("--denominator", type=int, default=1_000_000)
+    p_cmp.add_argument("--denominator", type=int, default=DEFAULT_DENOMINATOR)
     p_cmp.add_argument("--algos", default="m,mw",
                        help=f"comma list from {','.join(PACKERS)}")
     p_cmp.add_argument("--force-first", default=None)
@@ -219,6 +220,8 @@ def _cmd_compare(args) -> int:
     sources = [(Path(path).name, path) for path in args.instances]
     if args.family:
         size = _family_size(args)
+        if args.count < 1:
+            raise BarpackError(f"--count {args.count} must be at least 1")
         sources += [(f"{args.family}-{size}-s{seed}",
                      generate(GenSpec(args.family, size, seed, args.denominator)))
                     for seed in range(args.seed0, args.seed0 + args.count)]

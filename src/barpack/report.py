@@ -8,6 +8,7 @@ cross at x = 1/2, where both equal 3/2.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 
@@ -82,18 +83,19 @@ def _fmt(value) -> str:
 
 
 def rows_to_csv(rows, include_header: bool = True) -> str:
-    """Fixed-column CSV; ratio/fx/gx cells stay empty without a denominator."""
+    """Fixed-column CSV; ratio/fx/gx cells stay empty without a denominator.
+    A field with a comma, quote or newline is quoted."""
     buf = io.StringIO()
     if include_header:
         buf.write(CSV_HEADER + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
         x = row.x()
         fx = ratio_bound_dual(x) if x is not None and row.status == "ok" else None
         gx = ratio_bound_capacity(x) if x is not None and row.status == "ok" else None
-        cells = [row.instance, _fmt(row.n), row.algo, _fmt(row.L),
-                 _fmt(row.m1), _fmt(row.w1), _fmt(row.opt), _fmt(row.lb),
-                 _fmt(row.ratio()), _fmt(fx), _fmt(gx), row.status]
-        buf.write(",".join(cells) + "\n")
+        writer.writerow([row.instance, _fmt(row.n), row.algo, _fmt(row.L),
+                         _fmt(row.m1), _fmt(row.w1), _fmt(row.opt), _fmt(row.lb),
+                         _fmt(row.ratio()), _fmt(fx), _fmt(gx), row.status])
     return buf.getvalue()
 
 

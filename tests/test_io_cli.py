@@ -1,5 +1,6 @@
 """Serialization round-trips, the CLI surface, rendering, and reports."""
 
+import csv
 import io
 import json
 import os
@@ -401,6 +402,37 @@ class TestCli:
         outerr = capsys.readouterr()
         assert ran == [] and outerr.out == ""
         assert "unknown algo 'xyz'" in outerr.err
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_compare_rejects_an_empty_sweep_up_front(self, count, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr("barpack.cli._compare_worker", ran.append)
+        monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        assert main(["compare", "--family", "big", "--n", "4",
+                     "--count", str(count)]) == 2
+        outerr = capsys.readouterr()
+        assert ran == [] and outerr.out == ""
+        assert outerr.err == f"barpack: --count {count} must be at least 1\n"
+
+    def test_compare_quotes_fields_that_hold_a_comma(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version":1,"denominator":10,"charts":[[1,2,3]]}')
+        tight = tmp_path / "x,y.json"
+        tight.write_text(instance_to_json(gen_tight_family(1, 100)))
+        out = tmp_path / "report.csv"
+        assert main(["compare", str(bad), str(tight), "--algos", "m,mw",
+                     "--force-first", "0-1", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert '\n"x,y.json",4,m,6,2,2,,4,1.500,1.500,1.500,ok\n' in text
+        header, *rows = csv.reader(io.StringIO(text.partition("\n")[2]))
+        assert ",".join(header) == report.CSV_HEADER
+        assert all(len(row) == 12 for row in rows)
+        assert [(row[0], row[2], row[11]) for row in rows] == [
+            ("bad.json", "-", "error: chart 0 is [1, 2, 3], not an [a, b] pair"),
+            ("x,y.json", "m", "ok"),
+            ("x,y.json", "mw", "error: forced matching weighs 1, optimum is 2"),
+        ]
 
     @pytest.mark.parametrize("command", [["solve", "{inst}", "--algo", "exact"],
                                          ["compare", "{inst}", "--oracle"]],
