@@ -1,8 +1,9 @@
 """Command-line interface: gen, solve, compare, render, export-blp.
 
 Exit codes: 0 success (including unproven exact results), 1 usage error,
-2 invalid input, 3 internal invariant violation. Outputs carry no
-timestamps, so identical invocations produce byte-identical files.
+2 invalid input, 3 internal fault (an invariant violation or any other
+unexpected exception). Outputs carry no timestamps, so identical
+invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -279,11 +280,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # ValueError covers json.JSONDecodeError
-    except (BarpackError, ValueError, KeyError, OSError) as exc:
+    except (BarpackError, ValueError, OSError) as exc:
         print(f"barpack: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"barpack: internal invariant violation: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other fault is a bug, not bad input
+        print(f"barpack: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

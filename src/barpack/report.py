@@ -9,8 +9,8 @@ cross at x = 1/2, where both equal 3/2.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import InvariantViolation
 from .model import Instance, is_feasible, length
@@ -84,11 +84,13 @@ def _fmt(value) -> str:
 
 def rows_to_csv(rows, include_header: bool = True) -> str:
     """Fixed-column CSV; ratio/fx/gx cells stay empty without a denominator.
-    A field with a comma, quote or newline is quoted."""
-    buf = io.StringIO()
+    A field with a comma, quote, newline or carriage return is quoted."""
+    lines = []
+    # the writer quotes the terminator's characters, so "\r\n" has it quote a
+    # bare "\r" too; each row, written in one call, then ends in "\n"
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     if include_header:
-        buf.write(CSV_HEADER + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
     for row in rows:
         x = row.x()
         fx = ratio_bound_dual(x) if x is not None and row.status == "ok" else None
@@ -96,7 +98,7 @@ def rows_to_csv(rows, include_header: bool = True) -> str:
         writer.writerow([row.instance, _fmt(row.n), row.algo, _fmt(row.L),
                          _fmt(row.m1), _fmt(row.w1), _fmt(row.opt), _fmt(row.lb),
                          _fmt(row.ratio()), _fmt(fx), _fmt(gx), row.status])
-    return buf.getvalue()
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def max_ratio_by_algo(rows) -> dict[str, float]:

@@ -115,6 +115,8 @@ def test_criterion_02_cardinality_packer_guarantee(noninc_sweep):
     assert len(noninc_sweep.cases) >= 200
     worst = 0.0
     for case in noninc_sweep.cases:
+        # the bound is for big non-increasing charts; criterion 4 checks big
+        assert all(chart.is_nonincreasing() for chart in case.inst.charts)
         assert 2 * case.run.length <= 3 * case.opt
         rounds = case.run.trace.rounds
         m1 = rounds[0].cardinality if rounds else 0

@@ -3,11 +3,12 @@
 import gc
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from barpack import exact
-from barpack.errors import InfeasiblePacking, JmaxTooSmall, NotBigInstance
+from barpack.errors import BarpackError, InfeasiblePacking, JmaxTooSmall, NotBigInstance
 from barpack.exact import (
     DEFAULT_NODE_BUDGET,
     ExactResult,
@@ -29,6 +30,7 @@ from barpack.model import (
     compact,
     is_feasible,
     length,
+    occupancy,
     validate_instance,
 )
 from barpack.packers import pack_first_fit, pack_matching, pack_weighted_matching
@@ -165,6 +167,27 @@ def differential_sweep():
                     cases.append(gen(n, 100 + seed, denominator))
     cases.extend(gen_tight_family(k, 100) for k in (1, 2, 3))
     return cases
+
+
+def lp_rows(text):
+    """(name, coefficient by variable, sense, right side) of each row of
+    an LP text; coefficients are Fractions, so decimals parse too."""
+    rows = []
+    body = text.split("Subject To\n")[1].split("Binary\n")[0]
+    for line in body.splitlines():
+        name, expr = line.strip().split(": ")
+        *tokens, sense, rhs = expr.split()
+        coeffs, sign, coeff = {}, 1, Fraction(1)
+        for tok in tokens:
+            if tok in "+-":
+                sign = -1 if tok == "-" else 1
+            elif tok[0].isdigit():
+                coeff = Fraction(tok)
+            else:
+                coeffs[tok] = coeffs.get(tok, 0) + sign * coeff
+                sign, coeff = 1, Fraction(1)
+        rows.append((name, coeffs, sense, Fraction(rhs)))
+    return rows
 
 
 def pinned_search_cases():
@@ -545,8 +568,8 @@ class TestExportBlp:
             " obj: y_1 + y_2\n"
             "Subject To\n"
             " assign_1: x_1_1 = 1\n"
-            " cap_1: 0.7 x_1_1 - 1 y_1 <= 0\n"
-            " cap_2: 0.3 x_1_1 - 1 y_2 <= 0\n"
+            " cap_1: 7 x_1_1 - 10 y_1 <= 0\n"
+            " cap_2: 3 x_1_1 - 10 y_2 <= 0\n"
             "Binary\n"
             " x_1_1 y_1 y_2\n"
             "End\n"
@@ -568,19 +591,39 @@ class TestExportBlp:
                 assert f"x_{i}_{j}" in text
         assert f"x_1_{jmax}" not in text
 
-    def test_non_decimal_denominator_uses_integer_rows(self):
-        inst = Instance((BarChart(0, 1, 2),), 3)
-        text = export_blp(inst, 2)
-        assert " cap_1: 1 x_1_1 - 3 y_1 <= 0" in text
-        assert " cap_2: 2 x_1_1 - 3 y_2 <= 0" in text
+    @pytest.mark.parametrize("chart, denominator, rows", [
+        ((1, 2), 3, ("1 x_1_1 - 3 y_1", "2 x_1_1 - 3 y_2")),
+        ((1, 1), 1, ("1 x_1_1 - 1 y_1", "1 x_1_1 - 1 y_2")),
+        ((123456, 300000), 1_000_000,
+         ("123456 x_1_1 - 1000000 y_1", "300000 x_1_1 - 1000000 y_2")),
+    ], ids=["D=3", "D=1", "D=10^6"])
+    def test_capacity_rows_are_integer_numerators(self, chart, denominator, rows):
+        text = export_blp(Instance((BarChart(0, *chart),), denominator), 2)
+        assert f" cap_1: {rows[0]} <= 0\n" in text
+        assert f" cap_2: {rows[1]} <= 0\n" in text
 
-    def test_unit_denominator_uses_integer_coefficients(self):
-        text = export_blp(Instance((BarChart(0, 1, 1),), 1), 2)
-        assert " cap_1: 1 x_1_1 - 1 y_1 <= 0" in text
-        assert " cap_2: 1 x_1_1 - 1 y_2 <= 0" in text
+    def test_jmax_above_2n_is_refused(self):
+        inst = gen_big(3, 0)
+        assert export_blp(inst, 6).count("cap_") == 6
+        with pytest.raises(BarpackError, match="2n = 6"):
+            export_blp(inst, 7)
 
-    def test_exact_decimals_for_default_denominator(self):
-        inst = validate_instance([(0.123456, 0.3)], 1_000_000)
-        text = export_blp(inst, 2)
-        assert "0.123456 x_1_1" in text
-        assert "0.300000 x_1_1" in text
+    def test_model_holds_the_oracle_witness(self):
+        for inst in differential_sweep():
+            res = solve_exact(inst)
+            rows = lp_rows(export_blp(inst, res.opt_length))
+            value = {f"x_{i}_{s}": 1 for i, s in enumerate(res.packing.starts, 1)}
+            ys = [int(load > 0) for load in occupancy(inst, res.packing)]
+            value.update((f"y_{j}", y) for j, y in enumerate(ys, 1))
+            assert sum(ys) == res.opt_length
+            for name, coeffs, sense, rhs in rows:
+                assert all(c.denominator == 1 for c in coeffs.values()), name
+                lhs = sum(c * value.get(var, 0) for var, c in coeffs.items())
+                assert lhs == rhs if sense == "=" else lhs <= rhs, (inst, name)
+
+    def test_one_unit_overload_breaks_its_row_by_one(self):
+        inst = Instance((BarChart(0, 500_001, 1), BarChart(1, 500_000, 1)), 1_000_000)
+        value = {"x_1_1": 1, "x_2_1": 1, "y_1": 1, "y_2": 1}
+        rows = {name: (coeffs, rhs) for name, coeffs, _, rhs in lp_rows(export_blp(inst, 2))}
+        coeffs, rhs = rows["cap_1"]
+        assert sum(c * value.get(var, 0) for var, c in coeffs.items()) - rhs == 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barpack import packers, report
+from barpack import cli, packers, report
 from barpack.cli import _worker_count, main
 from barpack.errors import (
     BarpackError,
@@ -235,6 +235,16 @@ class TestCli:
         assert text.startswith("\\ two-bar chart strip packing")
         assert "jmax=6" in capsys.readouterr().out  # weighted-run length
 
+    def test_export_blp_jmax_is_at_most_2n(self, tight_instance_file, tmp_path, capsys):
+        out = tmp_path / "model.lp"
+        argv = ["export-blp", str(tight_instance_file), "--out", str(out), "--jmax"]
+        assert main([*argv, "8"]) == 0  # n = 4
+        assert out.read_text().count("cap_") == 8
+        out.unlink()
+        assert main([*argv, "9"]) == 2
+        assert "jmax 9 is above 2n = 8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_sweep_csv(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         assert main(["compare", "--family", "tight", "--k", "1",
@@ -434,6 +444,19 @@ class TestCli:
             ("x,y.json", "mw", "error: forced matching weighs 1, optimum is 2"),
         ]
 
+    def test_compare_quotes_a_bare_carriage_return(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        inst = tmp_path / "a\rb.json"
+        inst.write_text(instance_to_json(gen_tight_family(1, 100)))
+        out = tmp_path / "report.csv"
+        assert main(["compare", str(inst), "--algos", "m,mw", "--out", str(out)]) == 0
+        with out.open(newline="") as fh:
+            assert fh.readline() == "# barpack report v1\n"
+            header, *rows = csv.reader(fh)
+        assert ",".join(header) == report.CSV_HEADER
+        assert [(len(row), row[0], row[2]) for row in rows] == [
+            (12, "a\rb.json", "m"), (12, "a\rb.json", "mw")]
+
     @pytest.mark.parametrize("command", [["solve", "{inst}", "--algo", "exact"],
                                          ["compare", "{inst}", "--oracle"]],
                              ids=["solve", "compare"])
@@ -564,6 +587,17 @@ class TestInvariantExitCode:
         assert main(["compare", "--family", "big", "--n", "4", "--algos", "m"]) == 3
         assert (f"barpack: internal invariant violation: {message}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("exc", [KeyError(5), TypeError("bad operand")],
+                             ids=["KeyError", "TypeError"])
+    def test_any_other_fault_exits_three(self, exc, tight_instance_file,
+                                         monkeypatch, capsys):
+        def broken(inst):
+            raise exc
+        monkeypatch.setitem(cli.PACKERS, "m", broken)
+        assert main(["solve", str(tight_instance_file), "--algo", "m"]) == 3
+        assert capsys.readouterr().err == (
+            f"barpack: internal error: {type(exc).__name__}: {exc}\n")
 
     def test_invariant_violation_is_not_an_input_error(self):
         assert issubclass(InvariantViolation, AssertionError)
