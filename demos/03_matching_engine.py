@@ -3,14 +3,13 @@
 The packers need maximum matchings on graphs that are nowhere near
 bipartite, so the engine implements the blossom method: odd cycles are
 shrunk into single pseudo-vertices while the search for augmenting paths
-runs. A brute-force enumerator provides an independent cross-check.
+runs. The tests check the engine against a brute-force enumerator of
+every matching (tests/reference.py), on random graphs in
+tests/test_matching.py and on 500 more in the acceptance suite.
 """
-
-import random
 
 from barpack import (
     Graph,
-    brute_force_matching,
     matching_pairs,
     matching_weight,
     max_cardinality_matching,
@@ -28,18 +27,3 @@ print("\npath weights 1-3-1:")
 print("  max cardinality:", matching_pairs(path, max_cardinality_matching(path)))
 print("  max weight:     ", matching_pairs(path, max_weight_matching(path)),
       "weight", matching_weight(path, max_weight_matching(path)))
-
-# Randomized agreement with the exhaustive oracle.
-rng = random.Random(2024)
-trials = 200
-for _ in range(trials):
-    n = rng.randint(2, 9)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng.shuffle(pairs)
-    edges = tuple((u, v, rng.randint(1, 2)) for u, v in pairs[:rng.randint(0, 12)])
-    g = Graph(n, edges)
-    assert matching_weight(g, max_weight_matching(g)) == \
-        matching_weight(g, brute_force_matching(g, "weight"))
-    assert max_cardinality_matching(g).cardinality() == \
-        brute_force_matching(g, "cardinality").cardinality()
-print(f"\nblossom engine equals brute force on {trials} random graphs")

@@ -31,8 +31,6 @@ from .generators import (
 from .matching import (
     Graph,
     Matching,
-    brute_force_matching,
-    is_valid_matching,
     matching_pairs,
     matching_weight,
     max_cardinality_matching,
@@ -77,10 +75,8 @@ from .report import (
 )
 from .unions import (
     Chart,
-    best_union,
     build_graph,
     chart_from_bars,
-    graph_to_edge_list,
     merge,
     union_feasible,
 )

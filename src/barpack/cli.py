@@ -126,7 +126,11 @@ def _run_options(args, algos, exact: bool):
     pairs = []
     for part in args.force_first.split(","):
         left, _, right = part.partition("-")
-        pairs.append((int(left), int(right)))
+        try:
+            pairs.append((int(left), int(right)))
+        except ValueError:
+            raise BarpackError(f"--force-first part {part!r} is not two chart ids "
+                               "joined by '-'") from None
     return budget, pairs
 
 

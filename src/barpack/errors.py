@@ -48,10 +48,6 @@ class InfeasibleMerge(BarpackError):
     """The requested union would overload a shared cell."""
 
 
-class TooLarge(BarpackError):
-    """A graph exceeds brute_force_matching's enumeration guard of 24 edges."""
-
-
 class NotAMatching(BarpackError):
     """Supplied pairs reuse a vertex, name a non-edge, or cannot be formed."""
 

@@ -5,8 +5,7 @@ survey describes it; Ed Rothberg's C code and its well-known Python ports
 fix the bookkeeping conventions used here). Maximum-cardinality matching
 is the same solver on unit weights. Whenever all weights are equal every
 edge stays tight, so the solver skips the delta 2, 3 and 4 scans and builds
-no tight-edge lists. A brute-force enumerator over all matchings doubles as
-the independent test oracle.
+no tight-edge lists.
 
 All arithmetic is integer; the optimum is verified against the dual solution
 and the edges themselves (not a Graph's adj) on every call, in the pass that
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvariantViolation, TooLarge
+from .errors import InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -72,16 +71,6 @@ def matching_weight(g: Graph, m: Matching) -> int:
     return sum(g.edges[i][2] for i in m.edge_indices)
 
 
-def is_valid_matching(g: Graph, m: Matching) -> bool:
-    used = set()
-    for i in m.edge_indices:
-        u, v, _ = g.edges[i]
-        if u in used or v in used:
-            return False
-        used.update((u, v))
-    return True
-
-
 def max_weight_matching(g: Graph) -> Matching:
     """A matching of maximum total weight (not necessarily of maximum
     cardinality). Deterministic for a fixed edge input order."""
@@ -92,48 +81,6 @@ def max_cardinality_matching(g: Graph) -> Matching:
     """A matching of maximum cardinality (blossom-based, exact on general
     graphs). Runs the weighted solver on unit weights."""
     return _blossom_matching(g, unit=True)
-
-
-def brute_force_matching(g: Graph, objective: str = "weight") -> Matching:
-    """Exhaustively enumerate all matchings and return an optimum.
-
-    Only meant as a test oracle; refuses graphs with more than 24 edges.
-    objective is "weight" or "cardinality".
-    """
-    _index(g)
-    if objective not in ("weight", "cardinality"):
-        raise ValueError(f"unknown objective {objective!r}")
-    if len(g.edges) > 24:
-        raise TooLarge(f"{len(g.edges)} edges exceed the enumeration guard of 24")
-
-    best_value = 0
-    best: list[int] = []
-    chosen: list[int] = []
-    used = [False] * g.num_vertices
-
-    def value_of(indices) -> int:
-        if objective == "cardinality":
-            return len(indices)
-        return sum(g.edges[i][2] for i in indices)
-
-    def explore(next_edge: int) -> None:
-        nonlocal best_value, best
-        v = value_of(chosen)
-        if v > best_value:
-            best_value = v
-            best = list(chosen)
-        for i in range(next_edge, len(g.edges)):
-            u, w, _ = g.edges[i]
-            if used[u] or used[w]:
-                continue
-            used[u] = used[w] = True
-            chosen.append(i)
-            explore(i + 1)
-            chosen.pop()
-            used[u] = used[w] = False
-
-    explore(0)
-    return Matching(frozenset(best))
 
 
 class _Blossom:

@@ -129,7 +129,11 @@ def validate_instance(raw, denominator: int = DEFAULT_DENOMINATOR) -> Instance:
     if not raw:
         raise EmptyInstance("instance needs at least one chart")
     charts = []
-    for i, (a, b) in enumerate(raw):
+    for i, pair in enumerate(raw):
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise MalformedJson(f"chart {i} is {pair!r}, not an (a, b) pair") from None
         charts.append(BarChart(i,
                                height_numerator(a, denominator),
                                height_numerator(b, denominator)))

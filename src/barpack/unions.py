@@ -37,9 +37,6 @@ class Chart:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def mass(self) -> int:
-        return sum(self.cells)
-
 
 def chart_from_bars(chart: BarChart) -> Chart:
     return Chart((chart.a, chart.b), ((chart.id, 0),))
@@ -68,34 +65,18 @@ def merge(left: Chart, right: Chart, t: int, denominator: int) -> Chart:
     return Chart(cells, provenance)
 
 
-def best_union(x: Chart, y: Chart, denominator: int):
-    """Best feasible union of two distinct charts, or None.
-
-    Among the up-to-four candidates (two orientations, t in {1, 2}) the
-    largest t wins; ties prefer x before y. Returns (x_first, t).
-    """
-    for t in (2, 1):
-        if t > min(len(x), len(y)):
-            continue
-        for x_first in (True, False):
-            left, right = (x, y) if x_first else (y, x)
-            if union_feasible(left, right, t, denominator):
-                return x_first, t
-    return None
-
-
 def build_graph(charts, denominator: int) -> Graph:
     """Union graph over the given charts: one edge (left, right, t) per
-    unordered pair that admits a feasible union, realized exactly as
-    best_union would. Chart left goes first and the two share t in {1, 2}
-    cells, which is also the edge's weight. Edges come in (min, max) pair
-    order, whichever end goes first, so the graph's adj, adj[v] = {w: t},
-    lists each vertex's neighbours in ascending order, as _index would.
+    pair u < v with a feasible union; the largest t wins, and u goes left
+    on a tie. Chart left goes first and the two share t in {1, 2} cells,
+    which is also the edge's weight. Edges come in (u, v) order, whichever
+    end goes first, so the graph's adj, adj[v] = {w: t}, lists each
+    vertex's neighbours in ascending order, as _index would.
 
     A union reads only the first two and last two cells of each side, so
     those are read once. A chart shorter than two cells stands in inf for
-    the cells it lacks: no overlap fits inf, just as best_union skips an
-    overlap longer than a chart.
+    the cells it lacks: no overlap fits inf, just as no overlap may be
+    longer than a chart.
     """
     charts = list(charts)
     if not charts:
@@ -110,7 +91,7 @@ def build_graph(charts, denominator: int) -> Graph:
     ids = list(range(n))
     edges = []
     for u in ids:
-        # room left beside u's boundary cells, tried in best_union's order
+        # room left beside u's boundary cells: t = 2 before t = 1, u left first
         rp, rl, rf, rs = d - penult[u], d - last[u], d - first[u], d - second[u]
         s = u + 1
         for v, fv, sv, pv, lv in zip(ids[s:], first[s:], second[s:],
@@ -129,7 +110,3 @@ def build_graph(charts, denominator: int) -> Graph:
         adj[u][v] = adj[v][u] = t
     return Graph(n, edges, adj)
 
-
-def graph_to_edge_list(graph: Graph) -> str:
-    """Plain 'left right t' lines, for debugging."""
-    return "".join(f"{left} {right} {t}\n" for left, right, t in graph.edges)

@@ -25,8 +25,6 @@ from barpack.generators import (
 )
 from barpack.matching import (
     Graph,
-    brute_force_matching,
-    is_valid_matching,
     matching_weight,
     max_cardinality_matching,
     max_weight_matching,
@@ -45,6 +43,7 @@ from barpack.packers import (
     pack_result_to_json,
     pack_weighted_matching,
 )
+from reference import brute_force_matching, is_valid_matching
 
 SWEEP_SIZE = 200
 

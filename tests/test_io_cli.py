@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import barpack
 from barpack import cli, packers, report
 from barpack.cli import _worker_count, main
 from barpack.errors import (
@@ -32,6 +33,29 @@ from barpack.model import (
 from barpack.packers import pack_result_to_json, pack_weighted_matching
 from barpack.render import render_svg
 from barpack.report import ReportRow, max_ratio_by_algo, row_for_run, rows_to_csv
+
+
+# every public name; adding or removing one is a deliberate edit here
+PUBLIC_NAMES = [
+    "BarChart", "Chart", "DEFAULT_DENOMINATOR", "DEFAULT_NODE_BUDGET",
+    "DisassemblyRound", "ExactResult", "GenSpec", "Graph", "Instance", "Matching",
+    "PackResult", "Packing", "ReportRow", "RoundStats", "RunTrace", "build_graph",
+    "chart_from_bars", "checked_occupancy", "compact", "disassemble", "errors",
+    "exact", "export_blp", "gen_big", "gen_big_nonincreasing", "gen_general",
+    "gen_tight_family", "generate", "generators", "height_numerator",
+    "instance_from_json", "instance_to_json", "is_feasible", "length", "lower_bound",
+    "matching", "matching_pairs", "matching_weight", "max_cardinality_matching",
+    "max_ratio_by_algo", "max_weight_matching", "merge", "model", "occupancy",
+    "pack_first_fit", "pack_forced_first_matching", "pack_matching",
+    "pack_result_to_json", "pack_weighted_matching", "packers", "packing_from_json",
+    "packing_to_json", "ratio_bound_capacity", "ratio_bound_dual", "realize", "render",
+    "render_svg", "report", "row_for_run", "rows_to_csv", "solve_exact",
+    "tight_family_forced_pairs", "union_feasible", "unions", "validate_instance",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(barpack.__all__) == PUBLIC_NAMES
 
 
 class TestJsonRoundTrips:
@@ -185,9 +209,10 @@ class TestCli:
         assert payload["trace"] == [{"m": 2, "w": 2, "s": 2}]
 
     def test_solve_explicit_forced_pairs(self, tight_instance_file, capsys):
-        assert main(["solve", str(tight_instance_file), "--algo", "mw",
-                     "--force-first", "0-2,1-3"]) == 0
-        assert capsys.readouterr().out.strip() == "algo=mw n=4 L=6 rounds=1"
+        for spec in ("0-2,1-3", " 0 - 2, 1 - 3"):
+            assert main(["solve", str(tight_instance_file), "--algo", "mw",
+                         "--force-first", spec]) == 0
+            assert capsys.readouterr().out.strip() == "algo=mw n=4 L=6 rounds=1"
         # one pair weighs 1, the maximum-weight first round weighs 2
         assert main(["solve", str(tight_instance_file), "--algo", "mw",
                      "--force-first", "0-2"]) == 2
@@ -400,9 +425,15 @@ class TestCli:
         ran = []
         monkeypatch.setattr("barpack.cli._compare_worker", ran.append)
         monkeypatch.delenv("BARPACK_THREADS", raising=False)
-        assert main(["compare", "--family", "tight", "--k", "1", "--denominator", "100",
-                     "--algos", "mw", "--force-first", "0-x"]) == 2
-        assert ran == [] and capsys.readouterr().out == ""
+        # each spec with the part that is not an id pair
+        for spec, part in [("0-x", "0-x"), ("", ""), ("0-1,x", "x"),
+                           ("1-2-3", "1-2-3"), ("-1-2", "-1-2")]:
+            assert main(["compare", "--family", "tight", "--k", "1", "--denominator",
+                         "100", "--algos", "mw", f"--force-first={spec}"]) == 2
+            outerr = capsys.readouterr()
+            assert ran == [] and outerr.out == ""
+            assert outerr.err == (f"barpack: --force-first part {part!r} is not two "
+                                  "chart ids joined by '-'\n")
 
     def test_compare_rejects_an_unknown_algo_up_front(self, monkeypatch, capsys):
         ran = []

@@ -13,15 +13,13 @@ import pytest
 
 import barpack
 from barpack import matching
-from barpack.errors import InvariantViolation, TooLarge
+from barpack.errors import InvariantViolation
 from barpack.generators import gen_big_nonincreasing, gen_general
 from barpack.matching import (
     Graph,
     Matching,
     _Blossom,
     _verify_optimum,
-    brute_force_matching,
-    is_valid_matching,
     matching_pairs,
     matching_weight,
     max_cardinality_matching,
@@ -29,6 +27,7 @@ from barpack.matching import (
 )
 from barpack.packers import pack_matching
 from barpack.unions import build_graph, chart_from_bars
+from reference import brute_force_matching, is_valid_matching
 
 
 def graph(n, *edges):
@@ -427,7 +426,7 @@ class TestBruteForce:
 
     def test_guard(self):
         edges = tuple((0, i, 1) for i in range(1, 26))
-        with pytest.raises(TooLarge):
+        with pytest.raises(ValueError, match="guard of 24"):
             brute_force_matching(Graph(26, edges), "weight")
 
     def test_unknown_objective(self):

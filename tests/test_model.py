@@ -12,6 +12,7 @@ from barpack.errors import (
     EmptyInstance,
     HeightOutOfRange,
     InfeasiblePacking,
+    MalformedJson,
     NonRepresentable,
     UnassignedChart,
 )
@@ -75,6 +76,13 @@ class TestValidateInstance:
     def test_ids_in_input_order(self):
         inst = validate_instance([(0.1, 0.2), (0.3, 0.4)], 10)
         assert [c.id for c in inst.charts] == [0, 1]
+
+    @pytest.mark.parametrize("item", [5, (0.5,), (0.5, 0.5, 0.5)], ids=repr)
+    def test_non_pair_rejected(self, item):
+        # unchecked, a number raised TypeError and a short or long tuple a
+        # bare unpacking ValueError
+        with pytest.raises(MalformedJson, match=r"chart 1 is .*, not an \(a, b\) pair"):
+            validate_instance([(0.5, 0.5), item], 10)
 
 
 class TestHeightNumerator:

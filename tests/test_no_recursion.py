@@ -9,10 +9,6 @@ from barpack.exact import solve_exact
 from barpack.generators import gen_big_nonincreasing
 from barpack.packers import pack_matching, pack_weighted_matching
 
-# brute_force_matching's explore nests once per chosen edge, and its
-# 24-edge guard bounds that at 12 levels
-BOUNDED = {("brute_force_matching", "explore")}
-
 
 def self_calls(tree):
     """(enclosing names..., name) of every function that calls its own name,
@@ -38,8 +34,7 @@ def test_no_function_calls_itself():
     found = []
     for path in sorted(Path(barpack.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        found += [(path.name, *names) for names in self_calls(tree)
-                  if names[-2:] not in BOUNDED]
+        found += [(path.name, *names) for names in self_calls(tree)]
     assert not found, f"recursive functions: {found}"
 
 
