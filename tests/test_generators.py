@@ -1,9 +1,12 @@
 """Instance generators: determinism, family predicates, the tight family."""
 
+import hashlib
+
 import pytest
 
 from barpack.errors import KTooSmall
 from barpack.generators import (
+    FAMILIES,
     GenSpec,
     gen_big,
     gen_big_nonincreasing,
@@ -15,8 +18,30 @@ from barpack.generators import (
 from barpack.model import instance_to_json
 from barpack.unions import build_graph, chart_from_bars
 
+# The first 8 hex digits of the sha256 of each instance_to_json text, per
+# family over (size, seed, denominator) in loop order: a small and a large
+# size, seeds 0 and 1, D = 10**6 and 20 (100 for the tight family, which
+# ignores the seed). They pin every draw in its RNG call order.
+GENERATOR_DIGESTS = {
+    "big-nonincreasing": "9591c41f 98fd186a a5e72d4d 2c9cede0 108bc756 d5a303b5 8ff18844 d383216d",
+    "big": "e9bcc3a0 2146ce36 c4f41e92 fb48916c 7f52e450 0c0360d2 5aa89b0c 08187668",
+    "general": "805c04d9 9485bf81 3bb5ba83 81dd1b99 79ac56f2 1b02839a b5700e32 d4d92d21",
+    "tight": "c0e5979b 1915e0e2 c0e5979b 1915e0e2 8fdaeae9 4c3401a6 8fdaeae9 4c3401a6",
+}
+
 
 class TestDeterminism:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_instance_bytes_are_pinned(self, family):
+        tight = family == "tight"
+        digests = []
+        for size in (1, 50) if tight else (3, 500):
+            for seed in (0, 1):
+                for denominator in (10 ** 6, 100 if tight else 20):
+                    text = instance_to_json(FAMILIES[family](size, seed, denominator))
+                    digests.append(hashlib.sha256(text.encode()).hexdigest()[:8])
+        assert digests == GENERATOR_DIGESTS[family].split()
+
     @pytest.mark.parametrize("family,size", [
         ("big-nonincreasing", 6), ("big", 6), ("general", 6), ("tight", 2),
     ])
