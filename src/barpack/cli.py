@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import BarpackError
 from .exact import DEFAULT_NODE_BUDGET, export_blp, lower_bound, solve_exact
-from .generators import FAMILIES, GenSpec, generate, tight_family_forced_pairs
+from .generators import FAMILIES, tight_family_forced_pairs
 from .model import (
     DEFAULT_DENOMINATOR,
     Instance,
@@ -143,17 +143,25 @@ def _run_packer(algo: str, inst: Instance, forced) -> tuple[str, PackResult]:
     return algo, PACKERS[algo](inst)
 
 
-def _family_size(args) -> int:
-    """The generator size: --k for the tight family, --n for the others."""
-    flag = "k" if args.family == "tight" else "n"
-    size = getattr(args, flag)
+def _family_instances(args, seeds) -> list[tuple[str, Instance]]:
+    """(name, instance) of --family for each seed, none without --family.
+    Tight is sized by --k, the others by --n; a size flag nothing reads is an error."""
+    reads = args.family and ("k" if args.family == "tight" else "n")
+    for flag in ("n", "k"):
+        if getattr(args, flag) is not None and flag != reads:
+            where = f"--family {args.family}" if reads else "instance files"
+            raise BarpackError(f"--{flag} does not apply to {where}")
+    if not reads:
+        return []
+    size = getattr(args, reads)
     if size is None:
-        raise BarpackError(f"--family {args.family} needs --{flag}")
-    return size
+        raise BarpackError(f"--family {args.family} needs --{reads}")
+    return [(f"{args.family}-{size}-s{seed}", FAMILIES[args.family](size, seed, args.denominator))
+            for seed in seeds]
 
 
 def _cmd_gen(args) -> int:
-    inst = generate(GenSpec(args.family, _family_size(args), args.seed, args.denominator))
+    [(_, inst)] = _family_instances(args, [args.seed])
     Path(args.out).write_text(instance_to_json(inst))
     print(f"wrote {args.out} n={inst.n}")
     return 0
@@ -217,19 +225,17 @@ def _worker_count(requested: str | None, jobs: int, cpus: int | None) -> int:
 
 def _cmd_compare(args) -> int:
     algos = tuple(a for a in args.algos.split(",") if a)
+    if not algos:
+        raise BarpackError(f"--algos {args.algos!r} names no algorithm")
     for a in algos:
         if a not in PACKERS:
             raise BarpackError(f"unknown algo {a!r} (compare accepts {', '.join(PACKERS)})")
     budget, forced = _run_options(args, algos, args.oracle)
 
+    if args.family and args.count < 1:
+        raise BarpackError(f"--count {args.count} must be at least 1")
     sources = [(Path(path).name, path) for path in args.instances]
-    if args.family:
-        size = _family_size(args)
-        if args.count < 1:
-            raise BarpackError(f"--count {args.count} must be at least 1")
-        sources += [(f"{args.family}-{size}-s{seed}",
-                     generate(GenSpec(args.family, size, seed, args.denominator)))
-                    for seed in range(args.seed0, args.seed0 + args.count)]
+    sources += _family_instances(args, range(args.seed0, args.seed0 + args.count))
     payloads = [(name, source, algos, forced, args.oracle, budget)
                 for name, source in sources]
 

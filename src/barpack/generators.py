@@ -2,6 +2,8 @@
 
 All sampling happens on the 1/D grid so downstream arithmetic stays exact,
 and every generator is deterministic for a given (family, size, seed, D).
+The CLI indexes FAMILIES directly; GenSpec and generate are kept for the
+benchmark, which builds its instances through them.
 """
 
 from __future__ import annotations
@@ -33,53 +35,42 @@ def generate(spec: GenSpec) -> Instance:
     return FAMILIES[spec.family](spec.size, spec.seed, spec.denominator)
 
 
-def _seeded(n: int, seed: int, denominator: int) -> random.Random:
-    """The random source of a random family, after checking n and D."""
+def _random_family(n: int, seed: int, denominator: int, draw) -> Instance:
+    """n charts, chart i with the heights draw(rng, denominator) returns,
+    all drawn from one generator seeded with seed, after checking n and D."""
     if n < 1:
         raise ValueError("need at least one chart")
     check_denominator(denominator)
-    return random.Random(seed)
+    rng = random.Random(seed)
+    return Instance(tuple(BarChart(i, *draw(rng, denominator)) for i in range(n)),
+                    denominator)
 
 
 def gen_big_nonincreasing(n: int, seed: int = 0,
                           denominator: int = DEFAULT_DENOMINATOR) -> Instance:
     """Charts with a drawn uniformly from (1/2, 1] and b from (0, a]."""
-    rng = _seeded(n, seed, denominator)
-    half = denominator // 2
-    charts = []
-    for i in range(n):
-        a = rng.randint(half + 1, denominator)
-        b = rng.randint(1, a)
-        charts.append(BarChart(i, a, b))
-    return Instance(tuple(charts), denominator)
+    def draw(rng, d):
+        a = rng.randint(d // 2 + 1, d)
+        return a, rng.randint(1, a)
+    return _random_family(n, seed, denominator, draw)
 
 
 def gen_big(n: int, seed: int = 0,
             denominator: int = DEFAULT_DENOMINATOR) -> Instance:
     """Charts with one designated bar above 1/2; which side is big is a
     coin flip, the other bar is uniform over (0, 1]."""
-    rng = _seeded(n, seed, denominator)
-    half = denominator // 2
-    charts = []
-    for i in range(n):
-        big = rng.randint(half + 1, denominator)
-        other = rng.randint(1, denominator)
-        a_is_big = rng.randint(0, 1) == 1
-        a, b = (big, other) if a_is_big else (other, big)
-        charts.append(BarChart(i, a, b))
-    return Instance(tuple(charts), denominator)
+    def draw(rng, d):
+        big = rng.randint(d // 2 + 1, d)
+        other = rng.randint(1, d)
+        return (big, other) if rng.randint(0, 1) == 1 else (other, big)
+    return _random_family(n, seed, denominator, draw)
 
 
 def gen_general(n: int, seed: int = 0,
                 denominator: int = DEFAULT_DENOMINATOR) -> Instance:
     """Both bars uniform over (0, 1] on the grid."""
-    rng = _seeded(n, seed, denominator)
-    charts = []
-    for i in range(n):
-        a = rng.randint(1, denominator)
-        b = rng.randint(1, denominator)
-        charts.append(BarChart(i, a, b))
-    return Instance(tuple(charts), denominator)
+    return _random_family(n, seed, denominator,
+                          lambda rng, d: (rng.randint(1, d), rng.randint(1, d)))
 
 
 def gen_tight_family(k: int, denominator: int = DEFAULT_DENOMINATOR) -> Instance:

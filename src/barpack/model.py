@@ -125,7 +125,10 @@ def validate_instance(raw, denominator: int = DEFAULT_DENOMINATOR) -> Instance:
     integer multiple of 1/denominator inside (0, 1].
     """
     check_denominator(denominator)
-    raw = list(raw)
+    try:
+        raw = list(raw)
+    except TypeError:
+        raise MalformedJson(f"charts must be (a, b) pairs, not {type(raw).__name__}") from None
     if not raw:
         raise EmptyInstance("instance needs at least one chart")
     charts = []

@@ -180,7 +180,8 @@ class TestCli:
     def test_gen_rejects_a_non_positive_denominator(self, family, denominator, tmp_path,
                                                    capsys):
         out = tmp_path / "inst.json"
-        assert main(["gen", "--family", family, "--n", "2", "--k", "1",
+        size = ["--k", "1"] if family == "tight" else ["--n", "2"]
+        assert main(["gen", "--family", family, *size,
                      "--denominator", denominator, "--out", str(out)]) == 2
         assert "denominator must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
@@ -454,6 +455,43 @@ class TestCli:
         outerr = capsys.readouterr()
         assert ran == [] and outerr.out == ""
         assert outerr.err == f"barpack: --count {count} must be at least 1\n"
+
+    @pytest.mark.parametrize("algos", [",", ""])
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
+    def test_compare_rejects_an_empty_algo_list_up_front(self, algos, oracle, monkeypatch,
+                                                         capsys):
+        ran = []
+        monkeypatch.setattr("barpack.cli._compare_worker", ran.append)
+        monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        assert main(["compare", "--family", "big", "--n", "4", "--algos", algos,
+                     *oracle]) == 2
+        outerr = capsys.readouterr()
+        assert ran == [] and outerr.out == ""
+        assert outerr.err == f"barpack: --algos {algos!r} names no algorithm\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["gen", "--family", "tight", "--k", "1", "--n", "50"],
+         "--n does not apply to --family tight"),
+        (["gen", "--family", "big", "--n", "3", "--k", "9"],
+         "--k does not apply to --family big"),
+        (["compare", "--family", "big", "--n", "4", "--k", "3"],
+         "--k does not apply to --family big"),
+        (["compare", "{inst}", "--n", "7"], "--n does not apply to instance files"),
+        (["compare", "{inst}", "--k", "1"], "--k does not apply to instance files"),
+    ], ids=["gen-tight-n", "gen-big-k", "compare-big-k", "compare-files-n", "compare-files-k"])
+    def test_a_size_flag_the_family_does_not_read_exits_two(
+            self, argv, message, tight_instance_file, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr("barpack.cli._compare_worker", ran.append)
+        monkeypatch.delenv("BARPACK_THREADS", raising=False)
+        out = tmp_path / "inst.json"
+        argv = [arg.format(inst=tight_instance_file) for arg in argv]
+        if argv[0] == "gen":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        outerr = capsys.readouterr()
+        assert ran == [] and outerr.out == "" and not out.exists()
+        assert outerr.err == f"barpack: {message}\n"
 
     def test_compare_quotes_fields_that_hold_a_comma(self, tmp_path, monkeypatch):
         monkeypatch.delenv("BARPACK_THREADS", raising=False)

@@ -77,12 +77,17 @@ class TestValidateInstance:
         inst = validate_instance([(0.1, 0.2), (0.3, 0.4)], 10)
         assert [c.id for c in inst.charts] == [0, 1]
 
-    @pytest.mark.parametrize("item", [5, (0.5,), (0.5, 0.5, 0.5)], ids=repr)
+    @pytest.mark.parametrize("item", [5, None, 3.5, (0.5,), (0.5, 0.5, 0.5)], ids=repr)
     def test_non_pair_rejected(self, item):
         # unchecked, a number raised TypeError and a short or long tuple a
         # bare unpacking ValueError
         with pytest.raises(MalformedJson, match=r"chart 1 is .*, not an \(a, b\) pair"):
             validate_instance([(0.5, 0.5), item], 10)
+        if not isinstance(item, tuple):
+            # as the whole list, a number or None raised TypeError from list(raw)
+            kind = type(item).__name__
+            with pytest.raises(MalformedJson, match=rf"^charts must be \(a, b\) pairs, not {kind}$"):
+                validate_instance(item, 10)
 
 
 class TestHeightNumerator:
